@@ -126,9 +126,6 @@ class RbmArray:
         """Per-hidden-unit firing probabilities, no sampling."""
         return self.neuron.probability(self._net_hidden(v))
 
-    def probabilities_backward(self, h):
-        return self.neuron.probability(self._net_visible(h))
-
     def apply_frame(self, frame):
         """Apply one signal frame to the grid.  Read frames change nothing."""
         if frame.phase == READ:

@@ -39,19 +39,3 @@ def bits_to_string(bits):
     """Render a bit vector MSB first."""
     arr = ensure_bits(bits)
     return "".join(str(int(b)) for b in arr[::-1])
-
-
-def bits_to_int(bits):
-    """Interpret a bit vector as an unsigned integer."""
-    arr = ensure_bits(bits)
-    value = 0
-    for k in range(arr.size - 1, -1, -1):
-        value = (value << 1) | int(arr[k])
-    return value
-
-
-def bits_from_int(value, width):
-    """Expand an unsigned integer into ``width`` bits, LSB at index 0."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> k) & 1 for k in range(width)], dtype=np.uint8)

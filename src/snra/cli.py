@@ -17,6 +17,7 @@ from .bits import bits_from_string
 from .dataset import load_idx
 from .device import SynapseGrid
 from .errors import SnraError
+from .fsm import parse_topology
 from .oracle import (MAX_EXACT_NODES, DenseRbm, exact_distribution,
                      gibbs_joint_counts, tv_distance)
 
@@ -55,7 +56,7 @@ def _register_bits(text, flag, width):
 
 
 def _cmd_train(args):
-    topology = power.parse_topology(args.topology)
+    topology = parse_topology(args.topology)
     data = load_idx(args.images, args.labels, limit=args.train_samples)
     model = dbn.DbnModel(topology, rng_seed=_resolve_seed(args.seed),
                          levels=args.levels, delta_d=args.delta_d,
@@ -94,7 +95,7 @@ def _cmd_trace(args):
 
 
 def _cmd_power(args):
-    topology = power.parse_topology(args.topology)
+    topology = parse_topology(args.topology)
     milliwatts = power.topology_power(topology, args.tech)
     print(f"{milliwatts:.2f} mW")
     if args.csv is not None:

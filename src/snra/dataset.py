@@ -17,8 +17,6 @@ IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
 IMAGE_SIDE = 28
 DEFAULT_THRESHOLD = 127
-THRESHOLD_MODE = "threshold"
-BERNOULLI_MODE = "bernoulli"
 
 
 @dataclass
@@ -50,11 +48,6 @@ class LabeledBitSet:
     @property
     def width(self):
         return self.images.shape[1]
-
-
-def binarize(pixel, threshold=DEFAULT_THRESHOLD):
-    """1 iff the 8-bit pixel exceeds the threshold."""
-    return int(int(pixel) > threshold)
 
 
 def _read_exact(stream, count, path, what):
@@ -97,13 +90,10 @@ def _load_labels(path):
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
-def load_idx(images_path, labels_path, limit=None, threshold=DEFAULT_THRESHOLD,
-             mode=THRESHOLD_MODE, seed=0):
+def load_idx(images_path, labels_path, limit=None):
     """Load an IDX image/label pair into a LabeledBitSet.
 
-    Threshold mode binarizes deterministically (pixel > threshold).
-    Bernoulli mode instead fires each bit with probability pixel / 255,
-    seeded for reproducibility.
+    Each bit is 1 iff its pixel exceeds ``DEFAULT_THRESHOLD``.
     """
     images = _load_images(images_path)
     labels = _load_labels(labels_path)
@@ -118,13 +108,7 @@ def load_idx(images_path, labels_path, limit=None, threshold=DEFAULT_THRESHOLD,
         labels = labels[:limit]
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"{labels_path}: labels exceed class range 0..9")
-    if mode == THRESHOLD_MODE:
-        bits = (images > threshold).astype(np.uint8)
-    elif mode == BERNOULLI_MODE:
-        rng = np.random.default_rng(seed)
-        bits = (rng.random(images.shape) < images / 255.0).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown binarization mode {mode!r}")
+    bits = (images > DEFAULT_THRESHOLD).astype(np.uint8)
     return LabeledBitSet(bits, labels, 10, f"idx:{images_path}")
 
 

@@ -21,8 +21,7 @@ from .array import RbmArray
 from .bits import ensure_bits
 from .device import PBit, SynapseGrid
 from .errors import DimensionError, ModelFormatError
-from .fsm import CLOCK_PERIOD_S, TRAIN, CdFsm
-from .power import format_topology
+from .fsm import CLOCK_PERIOD_S, CdFsm, layer_sizes
 
 MAGIC = b"SNRA"
 FORMAT_VERSION = 1
@@ -56,10 +55,7 @@ class DbnModel:
     def __init__(self, topology, rng_seed=1, levels=32, delta_d=1,
                  input_scale=1.0, w_min=-1.0, w_max=1.0, use_biases=True,
                  init=MID_INIT):
-        sizes = tuple(int(n) for n in topology)
-        if len(sizes) < 2 or any(n < 1 for n in sizes):
-            raise DimensionError(
-                "topology must list at least two positive layer sizes")
+        sizes = layer_sizes(topology)
         if rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if init not in (MID_INIT, UNIFORM_INIT):
@@ -155,7 +151,7 @@ def greedy_train(model, images, labels, epochs):
     report = TrainingReport()
     last = len(model.layers) - 1
     for index, layer in enumerate(model.layers):
-        controller = CdFsm(layer.n_visible, layer.n_hidden, TRAIN)
+        controller = CdFsm(layer.n_visible, layer.n_hidden)
         rng = derived_rng(model.rng_seed, _TRAIN_TAG, index)
         pulses_before = layer.grid.pulse_count
         clamp_top = index == last
@@ -249,19 +245,29 @@ class _Reader:
 
 
 def from_bytes(data):
-    """Deserialize a model; rejects bad magic, version, or sizes."""
+    """Deserialize a model; rejects bad magic, version, or sizes.
+
+    The payload length the header's layer sizes imply is checked against
+    the data before any device grid is allocated.
+    """
     reader = _Reader(data)
     if reader.take(4, "magic") != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
     version, n_layers = reader.unpack("<HH", "header")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
-    if n_layers < 2:
-        raise ModelFormatError("topology must list at least two layer sizes")
-    sizes = reader.unpack(f"<{n_layers}I", "topology")
+    try:
+        sizes = layer_sizes(reader.unpack(f"<{n_layers}I", "topology"))
+    except DimensionError as exc:
+        raise ModelFormatError(f"corrupt topology: {exc}") from None
     levels, delta_d = reader.unpack("<HH", "device config")
     input_scale, w_min, w_max = reader.unpack("<ddd", "device config")
     rng_seed, flags = reader.unpack("<QH", "seed/flags")
+    payload = 2 * sum(n_v * n_h + n_v + n_h for n_v, n_h in zip(sizes[:-1], sizes[1:]))
+    remaining = len(data) - reader.offset
+    if remaining != payload:
+        raise ModelFormatError(
+            f"model payload is {remaining} bytes, topology {sizes} needs {payload}")
     model = DbnModel(sizes, rng_seed=rng_seed, levels=levels, delta_d=delta_d,
                      input_scale=input_scale, w_min=w_min, w_max=w_max,
                      use_biases=bool(flags & _FLAG_USE_BIASES))
@@ -278,9 +284,6 @@ def from_bytes(data):
             grid.load_states(states.reshape(n_v, n_h), visible, hidden)
         except (ValueError, DimensionError) as exc:
             raise ModelFormatError(f"corrupt device state: {exc}") from None
-    if reader.offset != len(data):
-        raise ModelFormatError(
-            f"{len(data) - reader.offset} trailing bytes after model payload")
     return model
 
 
@@ -292,9 +295,3 @@ def save_model(model, path):
 def load_model(path):
     with open(path, "rb") as handle:
         return from_bytes(handle.read())
-
-
-def describe(model):
-    return (f"topology={format_topology(model.topology)} levels={model.levels} "
-            f"delta_d={model.delta_d} input_scale={model.input_scale:g} "
-            f"seed={model.rng_seed}")

@@ -6,16 +6,11 @@ the index up or down and saturate at the grid ends.
 """
 
 import hashlib
-import math
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionError
-
-INCREASE = 1
-DECREASE = -1
-HOLD = 0
 
 
 class PBit:
@@ -35,24 +30,11 @@ class PBit:
         prob = expit(self.input_scale * net)
         return float(prob) if np.isscalar(net_input) else prob
 
-    def sample(self, net_input, rng):
-        """Draw one output bit for a scalar net input."""
-        prob = self.probability(float(net_input))
-        return int(rng.random() < prob)
-
-    def sample_vector(self, net_inputs, rng):
-        """Draw one bit per net input, consuming draws in ascending index order."""
-        net = np.asarray(net_inputs, dtype=np.float64)
-        if net.ndim != 1:
-            raise DimensionError(f"net inputs must be one-dimensional, got shape {net.shape}")
-        # A finite sum proves all entries finite; the full scan only runs
-        # when the sum overflows or a NaN/inf is actually present.
-        if not math.isfinite(net.sum()) and not np.isfinite(net).all():
-            raise ValueError("net input must be finite")
-        return self.sample_net(net, rng)
-
     def sample_net(self, net, rng):
-        """Sampling core; trusts ``net`` to be a finite float vector."""
+        """One bit per net input, drawn in ascending index order.
+
+        Trusts ``net`` to be a finite float vector.
+        """
         prob = expit(self.input_scale * net)
         return (rng.random(prob.size) < prob).astype(np.uint8)
 
@@ -147,51 +129,32 @@ class SynapseGrid:
     def _touch(self):
         self._cache.clear()
 
-    def apply_pulse(self, row, column, direction):
-        """Pulse one cell.  Saturates at the grid ends, never wraps."""
-        if not (0 <= row < self.n_visible and 0 <= column < self.n_hidden):
-            raise IndexError(f"cell ({row}, {column}) outside grid")
-        if direction not in (INCREASE, DECREASE, HOLD):
-            raise ValueError(f"direction must be -1, 0, or 1, got {direction!r}")
-        if direction == HOLD:
-            return
-        moved = self.states[row, column] + direction * self.delta_d
-        self.states[row, column] = min(max(moved, 0), self.levels - 1)
-        self.pulse_count += 1
-        self._touch()
-
     def pulse_column(self, column, directions):
         """Pulse every cell of one column; directions in {-1, 0, 1} per row."""
         if not 0 <= column < self.n_hidden:
             raise IndexError(f"column {column} outside grid")
-        direction = np.asarray(directions, dtype=np.int64)
-        if direction.shape != (self.n_visible,):
-            raise DimensionError(
-                f"directions must have shape ({self.n_visible},), got {direction.shape}")
-        if direction.size and not np.isin(direction, (-1, 0, 1)).all():
-            raise ValueError("directions must be -1, 0, or 1")
-        moved = self.states[:, column] + direction * self.delta_d
-        self.states[:, column] = np.clip(moved, 0, self.levels - 1)
-        self.pulse_count += int(np.count_nonzero(direction))
-        self._touch()
+        self._pulse(self.states[:, column], directions)
 
     def pulse_visible_bias(self, directions):
-        self.visible_bias_states[:] = self._pulse_flat(
-            self.visible_bias_states, directions, self.n_visible)
+        self._pulse(self.visible_bias_states, directions)
 
     def pulse_hidden_bias(self, directions):
-        self.hidden_bias_states[:] = self._pulse_flat(
-            self.hidden_bias_states, directions, self.n_hidden)
+        self._pulse(self.hidden_bias_states, directions)
 
-    def _pulse_flat(self, states, directions, length):
+    def _pulse(self, states, directions):
+        """Move a view of state indices in place; saturates, never wraps.
+
+        Every nonzero direction counts as a pulse, even one that moves nothing.
+        """
         direction = np.asarray(directions, dtype=np.int64)
-        if direction.shape != (length,):
-            raise DimensionError(f"directions must have shape ({length},), got {direction.shape}")
+        if direction.shape != states.shape:
+            raise DimensionError(
+                f"directions must have shape {states.shape}, got {direction.shape}")
         if direction.size and not np.isin(direction, (-1, 0, 1)).all():
             raise ValueError("directions must be -1, 0, or 1")
+        states[:] = np.clip(states + direction * self.delta_d, 0, self.levels - 1)
         self.pulse_count += int(np.count_nonzero(direction))
         self._touch()
-        return np.clip(states + direction * self.delta_d, 0, self.levels - 1)
 
     def load_states(self, states, visible_bias_states, hidden_bias_states):
         """Overwrite every state index at once, with full range validation."""

@@ -5,6 +5,10 @@ n_hidden Update clocks, so it completes in n_hidden + 3 clocks.  Each
 Update clock writes a single hidden column: bl_i = v_i AND h_j and
 sl_i = v_bar_i AND h_bar_j realize the positive and negative phases of
 the weight-change rule with per-column AND gates.
+
+Every controller is a training controller; inference reads the array
+directly (see ``dbn.predict``).  Layer stacks are validated here, in
+``layer_sizes``, for every module that takes a topology.
 """
 
 from enum import IntEnum
@@ -17,9 +21,6 @@ from .errors import DimensionError, ProtocolError
 
 CLOCK_HZ = 500e6
 CLOCK_PERIOD_S = 1.0 / CLOCK_HZ
-
-TRAIN = "train"
-TEST = "test"
 
 
 class State(IntEnum):
@@ -47,14 +48,11 @@ def update_frame(v, h, v_bar, h_bar, column):
 class CdFsm:
     """Clock-stepped controller over one RBM array."""
 
-    def __init__(self, n_visible, n_hidden, mode=TRAIN):
+    def __init__(self, n_visible, n_hidden):
         if n_visible < 1 or n_hidden < 1:
             raise DimensionError("controller needs at least one visible and one hidden unit")
-        if mode not in (TRAIN, TEST):
-            raise ValueError(f"mode must be {TRAIN!r} or {TEST!r}, got {mode!r}")
         self.n_visible = int(n_visible)
         self.n_hidden = int(n_hidden)
-        self.mode = mode
         self.state = State.FEED_FORWARD
         self.counter = 0
         self.clock_count = 0
@@ -64,11 +62,6 @@ class CdFsm:
         self.sl_reg = np.zeros(self.n_visible, dtype=np.uint8)
         self.h = np.zeros(self.n_hidden, dtype=np.uint8)
         self.h_bar = np.zeros(self.n_hidden, dtype=np.uint8)
-
-    @property
-    def counter_width(self):
-        """Hardware width of the column counter: ceil(log2(n_hidden + 1))."""
-        return self.n_hidden.bit_length()
 
     def load_registers(self, v, h, v_bar, h_bar):
         """Force the sample registers and park the controller at Update.
@@ -101,8 +94,7 @@ class CdFsm:
             else:
                 self.h[:] = array.forward(self.v, rng)
             frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
-            if self.mode == TRAIN:
-                self.state = State.FEED_BACK
+            self.state = State.FEED_BACK
         elif self.state is State.FEED_BACK:
             self.v_bar[:] = array.backward(self.h, rng)
             frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
@@ -133,8 +125,6 @@ class CdFsm:
 
     def run_cd_iteration(self, array, input_bits, rng, clamp_hidden=None):
         """One full training iteration; returns (frames, clocks)."""
-        if self.mode != TRAIN:
-            raise ProtocolError("training iterations require train mode")
         if self.state is not State.FEED_FORWARD:
             raise ProtocolError("iteration must start from the feed-forward state")
         frames = [self.step(array, input_bits, rng, clamp_hidden)]
@@ -142,12 +132,22 @@ class CdFsm:
             frames.append(self.step(array, rng=rng))
         return frames, len(frames)
 
-    def run_test(self, array, input_bits, rng):
-        """Test-mode inference: sample the hidden layer, touch no weights."""
-        if self.mode != TEST:
-            raise ProtocolError("run_test requires test mode")
-        self.step(array, input_bits, rng)
-        return self.h.copy()
+def layer_sizes(topology):
+    """Validate a layer stack: a tuple of at least two positive sizes."""
+    sizes = tuple(map(int, topology))
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise DimensionError(
+            f"topology must list at least two positive layer sizes, got {sizes}")
+    return sizes
+
+
+def parse_topology(text):
+    """Parse '784x500x10' into validated layer sizes."""
+    try:
+        sizes = [int(p) for p in str(text).strip().lower().split("x")]
+    except ValueError:
+        raise DimensionError(f"cannot parse topology {text!r}") from None
+    return layer_sizes(sizes)
 
 
 def train_clock_budget(topology, samples, epochs):
@@ -155,11 +155,7 @@ def train_clock_budget(topology, samples, epochs):
 
     Each RBM stage costs samples * epochs * (n_hidden + 3) clocks.
     """
-    sizes = [int(n) for n in topology]
-    if len(sizes) < 2:
-        raise DimensionError("topology needs at least two layer sizes")
-    if any(n < 1 for n in sizes):
-        raise DimensionError("layer sizes must be positive")
+    sizes = layer_sizes(topology)
     if samples < 0 or epochs < 0:
         raise ValueError("samples and epochs must be non-negative")
     clocks = sum(samples * epochs * (n_hidden + 3) for n_hidden in sizes[1:])

@@ -9,7 +9,8 @@ idle while the (reconfigured) fabric trains the later stages.  Fabrics
 with gated idle storage pay no standby power at all.
 
 All technology constants and utilization records live in the bundled
-``data/lut_reference.txt``; nothing numeric is hard-coded here.
+``data/lut_reference.txt``; nothing numeric is hard-coded here.  Every
+function that takes a topology validates it with ``fsm.layer_sizes``.
 """
 
 import csv
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .errors import DimensionError, UnknownTechnologyError, UnknownTopologyError
+from .errors import UnknownTechnologyError, UnknownTopologyError
+from .fsm import layer_sizes, parse_topology
 
 SRAM = "sram"
 SHE_MTJ = "she-mtj"
@@ -72,7 +74,7 @@ class PowerTable:
 
     def record_for(self, topology):
         """Utilization record for a topology, by exact or largest-RBM match."""
-        topology = tuple(int(n) for n in topology)
+        topology = layer_sizes(topology)
         for record in self.utilization:
             if record.topology == topology:
                 return record
@@ -89,29 +91,14 @@ def normalize_tech(name):
     return str(name).strip().lower().replace("_", "-")
 
 
-def parse_topology(text):
-    """Parse '784x500x10' into a tuple of at least two positive sizes."""
-    parts = str(text).strip().lower().split("x")
-    try:
-        sizes = tuple(int(p) for p in parts)
-    except ValueError:
-        raise DimensionError(f"cannot parse topology {text!r}") from None
-    if len(sizes) < 2 or any(n < 1 for n in sizes):
-        raise DimensionError(
-            f"topology must list at least two positive layer sizes, got {text!r}")
-    return sizes
-
-
 def format_topology(topology):
     return "x".join(str(int(n)) for n in topology)
 
 
 def largest_rbm(topology):
     """The adjacent layer pair with the most synapses."""
-    pairs = list(zip(topology[:-1], topology[1:]))
-    if not pairs:
-        raise DimensionError("topology needs at least two layer sizes")
-    return max(pairs, key=lambda p: p[0] * p[1])
+    sizes = layer_sizes(topology)
+    return max(zip(sizes[:-1], sizes[1:]), key=lambda p: p[0] * p[1])
 
 
 def _parse_bool(token):
@@ -179,9 +166,7 @@ def stage_pairs(topology, table=None):
     multi-stage networks a single resident controller idles alongside.
     """
     table = table if table is not None else load_reference()
-    topology = tuple(int(n) for n in topology)
-    if len(topology) < 2:
-        raise DimensionError("topology needs at least two layer sizes")
+    topology = layer_sizes(topology)
     pairs = table.record_for(topology).fully_used_lut_ffs
     stages = len(topology) - 1
     if stages == 1:
@@ -204,17 +189,6 @@ def device_counts(lut_count, tech, table=None):
     return lut_count * record.mos_count, lut_count * record.mtj_count
 
 
-def register_estimate(topology):
-    """Analytic register count of the controller for the largest RBM.
-
-    Registers: v, v_bar, bl, sl (4 * n_v), h, h_bar (2 * n_h), the column
-    counter (ceil(log2(n_h + 1))), and the 2-bit state.
-    """
-    n_v, n_h = largest_rbm(topology)
-    counter_bits = int(n_h).bit_length()
-    return 4 * n_v + 2 * n_h + counter_bits + 2
-
-
 def comparison_report(topologies=None, csv_path=None, table=None):
     """SRAM vs gated-fabric comparison as aligned text; optional CSV copy."""
     table = table if table is not None else load_reference()
@@ -226,7 +200,7 @@ def comparison_report(topologies=None, csv_path=None, table=None):
               "sram_mos", "she_mtj_mos", "she_mtj_mtj", "mos_reduction_pct"]
     rows = []
     for topology in topologies:
-        topology = tuple(int(n) for n in topology)
+        topology = layer_sizes(topology)
         sram_mw = topology_power(topology, sram, table)
         alt_mw = topology_power(topology, alt, table)
         luts = table.record_for(topology).slice_luts

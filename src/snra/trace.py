@@ -79,6 +79,7 @@ def iteration_steps(v, h, v_bar, h_bar):
 
 
 def _counter_width(n_hidden):
+    """Width of the controller's column counter: ceil(log2(n_hidden + 1))."""
     return int(n_hidden).bit_length()
 
 

@@ -101,7 +101,8 @@ class TestSampling:
         crossbar = RbmArray(grid)
         assert crossbar.probabilities_forward([1, 0])[0] == pytest.approx(0.75, abs=1e-12)
         rng = np.random.default_rng(99)
-        hits = sum(crossbar.forward([1, 0], rng)[0] for _ in range(10**5))
+        # int() keeps the sum from wrapping in the samples' uint8 dtype
+        hits = sum(int(crossbar.forward([1, 0], rng)[0]) for _ in range(10**5))
         assert abs(hits / 10**5 - 0.75) < 0.004
 
     def test_probabilities_match_manual_net(self):

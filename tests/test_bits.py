@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snra.bits import (bits_from_int, bits_from_string, bits_to_int,
-                       bits_to_string, ensure_bits)
+from snra.bits import bits_from_string, bits_to_string, ensure_bits
 from snra.errors import DimensionError
 
 
@@ -19,33 +18,15 @@ def test_string_rendering_is_msb_first():
     assert bits_to_string([0, 1]) == "10"
 
 
-def test_int_conversions():
-    assert bits_to_int([1, 0, 1, 0]) == 5
-    assert list(bits_from_int(5, 4)) == [1, 0, 1, 0]
-    assert bits_to_int([0, 0]) == 0
-
-
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
 def test_string_round_trip(bits):
     assert list(bits_from_string(bits_to_string(bits))) == bits
-
-
-@given(st.integers(0, 2**16 - 1))
-def test_int_round_trip(value):
-    assert bits_to_int(bits_from_int(value, 16)) == value
 
 
 def test_parse_rejects_bad_strings():
     for bad in ("", "012", "ab", "1 0"):
         with pytest.raises(ValueError):
             bits_from_string(bad)
-
-
-def test_from_int_range_check():
-    with pytest.raises(ValueError):
-        bits_from_int(16, 4)
-    with pytest.raises(ValueError):
-        bits_from_int(-1, 4)
 
 
 def test_ensure_bits_validation():

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from snra.dataset import (BERNOULLI_MODE, LabeledBitSet, binarize, load_idx,
+from snra.dataset import (DEFAULT_THRESHOLD, LabeledBitSet, load_idx,
                           synthetic_orthogonal)
 from snra.errors import (BadMagicError, CountMismatchError, DimensionError,
                          IdxFormatError, TruncatedFileError)
@@ -26,6 +26,7 @@ def write_idx_pair(tmp_path, pixels, labels, compress=False, image_magic=2051,
                                len(labels) if label_count is None else label_count)
                    + bytes(labels))
     suffix = ".gz" if compress else ""
+    tmp_path.mkdir(parents=True, exist_ok=True)
     images_path = tmp_path / f"images-idx3-ubyte{suffix}"
     labels_path = tmp_path / f"labels-idx1-ubyte{suffix}"
     opener = gzip.open if compress else open
@@ -47,15 +48,12 @@ def two_sample_pixels():
 
 
 class TestBinarize:
-    def test_boundaries(self):
-        assert binarize(0) == 0
-        assert binarize(127) == 0
-        assert binarize(128) == 1
-        assert binarize(255) == 1
-
-    def test_custom_threshold(self):
-        assert binarize(10, threshold=5) == 1
-        assert binarize(10, threshold=10) == 0
+    def test_boundaries(self, tmp_path):
+        pixels = np.zeros((1, 784), dtype=np.uint8)
+        pixels[0, :4] = [0, 127, 128, 255]
+        data = load_idx(*write_idx_pair(tmp_path, pixels, [0]))
+        assert DEFAULT_THRESHOLD == 127
+        assert data.images[0, :4].tolist() == [0, 0, 1, 1]
 
 
 class TestLoadIdx:
@@ -133,18 +131,6 @@ class TestLoadIdx:
         _, labels_path = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2])
         with pytest.raises(FileNotFoundError):
             load_idx(tmp_path / "nope", labels_path)
-
-    def test_bernoulli_mode(self, tmp_path):
-        pixels = np.stack([np.zeros(784, dtype=np.uint8),
-                           np.full(784, 255, dtype=np.uint8)])
-        paths = write_idx_pair(tmp_path, pixels, [0, 1])
-        data = load_idx(*paths, mode=BERNOULLI_MODE, seed=4)
-        assert not data.images[0].any()
-        assert data.images[1].all()
-        again = load_idx(*paths, mode=BERNOULLI_MODE, seed=4)
-        assert (data.images == again.images).all()
-        with pytest.raises(ValueError):
-            load_idx(*paths, mode="fuzzy")
 
 
 class TestSyntheticOrthogonal:

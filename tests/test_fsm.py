@@ -5,8 +5,8 @@ from snra.array import READ, WRITE, RbmArray
 from snra.bits import bits_from_string
 from snra.device import SynapseGrid
 from snra.errors import DimensionError, ProtocolError
-from snra.fsm import (CLOCK_PERIOD_S, TEST, TRAIN, CdFsm, State,
-                      train_clock_budget, update_frame)
+from snra.fsm import CLOCK_PERIOD_S, CdFsm, State, train_clock_budget, update_frame
+from snra.trace import iteration_steps, parse_vcd, write_vcd
 
 
 def make_array(n_v, n_h, use_biases=True, seed=None):
@@ -25,10 +25,11 @@ class TestStateMachine:
         assert State.UPDATE == 3
 
     def test_counter_width(self):
-        assert CdFsm(1, 1).counter_width == 1
-        assert CdFsm(1, 2).counter_width == 2
-        assert CdFsm(1, 4).counter_width == 3
-        assert CdFsm(1, 10).counter_width == 4
+        # the dumped COUNTER is ceil(log2(n_hidden + 1)) bits wide
+        for n_hidden, width in ((1, 1), (2, 2), (4, 3), (10, 4)):
+            zeros = np.zeros(n_hidden, dtype=np.uint8)
+            steps = iteration_steps([1], zeros, [0], zeros)
+            assert parse_vcd(write_vcd(steps)).width("COUNTER") == width
 
     def test_initial_registers(self):
         fsm = CdFsm(4, 2)
@@ -41,9 +42,7 @@ class TestStateMachine:
         with pytest.raises(ProtocolError):
             fsm.step(make_array(2, 2), rng=np.random.default_rng(0))
 
-    def test_mode_and_size_validation(self):
-        with pytest.raises(ValueError):
-            CdFsm(2, 2, mode="idle")
+    def test_size_validation(self):
         with pytest.raises(DimensionError):
             CdFsm(0, 2)
         fsm = CdFsm(3, 2)
@@ -70,10 +69,7 @@ class TestIteration:
             fsm.run_cd_iteration(crossbar, [1, 0], rng)
             assert fsm.clock_count == expected
 
-    def test_iteration_needs_train_mode_and_start_state(self):
-        fsm = CdFsm(2, 2, mode=TEST)
-        with pytest.raises(ProtocolError):
-            fsm.run_cd_iteration(make_array(2, 2), [1, 0], np.random.default_rng(0))
+    def test_iteration_needs_start_state(self):
         trainer = CdFsm(2, 2)
         trainer.load_registers([1, 0], [0, 1], [1, 0], [0, 1])
         with pytest.raises(ProtocolError):
@@ -148,33 +144,6 @@ class TestBiasTraining:
         fsm.step(crossbar)
         fsm.step(crossbar)
         assert (crossbar.grid.visible_bias_states == before).all()
-
-
-class TestTestMode:
-    def test_stays_in_feed_forward(self):
-        fsm = CdFsm(3, 2, mode=TEST)
-        crossbar = make_array(3, 2)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            frame = fsm.step(crossbar, [1, 0, 1], rng)
-            assert frame.phase == READ
-            assert fsm.state is State.FEED_FORWARD
-
-    def test_weights_unchanged_and_matches_forward(self):
-        crossbar = make_array(3, 2, seed=6)
-        before = crossbar.grid.fingerprint()
-        fsm = CdFsm(3, 2, mode=TEST)
-        out = fsm.run_test(crossbar, [1, 1, 0], np.random.default_rng(12))
-        direct = crossbar.forward([1, 1, 0], np.random.default_rng(12))
-        assert out.tolist() == direct.tolist()
-        for _ in range(100):
-            fsm.run_test(crossbar, [1, 1, 0], np.random.default_rng(0))
-        assert crossbar.grid.fingerprint() == before
-
-    def test_run_test_requires_test_mode(self):
-        fsm = CdFsm(2, 2)
-        with pytest.raises(ProtocolError):
-            fsm.run_test(make_array(2, 2), [1, 0], np.random.default_rng(0))
 
 
 class TestClockBudget:

@@ -89,9 +89,12 @@ class TestExactDistribution:
         permuted = DenseRbm(rbm.weights[perm], rbm.visible_bias[perm], rbm.hidden_bias)
         base = exact_distribution(rbm)
         other = exact_distribution(permuted)
+        # permuted unit k is original unit perm[k], so a permuted-order state
+        # v is the original-order state with v[k] at position perm[k]
+        inverse = np.argsort(perm)
         for v_code in range(8):
             v = [(v_code >> k) & 1 for k in range(3)]
-            pv = [v[perm[k]] for k in range(3)]
+            pv = [v[inverse[k]] for k in range(3)]
             for h_code in range(4):
                 h = [(h_code >> k) & 1 for k in range(2)]
                 assert other[joint_index(v, h, 3)] == pytest.approx(
