@@ -1,5 +1,6 @@
 """Deep belief network: stacked RBM arrays trained greedily through the
-clock-stepped controller, with classification and binary persistence.
+CD controller's fused iteration (``CdFsm.run_cd_iteration``), with
+classification and binary persistence.
 
 The last layer's hidden units are the class outputs.  During its training
 the hidden register is clamped to the one-hot label on the feed-forward
@@ -123,11 +124,18 @@ class TrainingReport:
         return lines
 
 
-def _check_training_data(model, images, labels):
-    images = np.asarray(images, dtype=np.uint8)
+def _bit_images(model, images):
+    """Images as a uint8 (n, n_inputs) array, with every pixel checked to be
+    an integer 0 or 1 before the cast could wrap or truncate it."""
+    images = np.asarray(images)
     if images.ndim != 2 or images.shape[1] != model.topology[0]:
         raise DimensionError(
             f"images must have shape (n, {model.topology[0]}), got {images.shape}")
+    return ensure_bits(images.reshape(-1), name="image pixels").reshape(images.shape)
+
+
+def _check_training_data(model, images, labels):
+    images = _bit_images(model, images)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (images.shape[0],):
         raise DimensionError(
@@ -189,9 +197,9 @@ def predict(model, image, sample_index=0):
 
 def error_rate(model, images, labels):
     """Fraction of misclassified samples."""
-    images = np.asarray(images, dtype=np.uint8)
+    images = _bit_images(model, images)
     labels = np.asarray(labels, dtype=np.int64)
-    if images.ndim != 2 or images.shape[0] == 0:
+    if images.shape[0] == 0:
         raise DimensionError("test set must contain at least one image")
     if labels.shape != (images.shape[0],):
         raise DimensionError(f"{images.shape[0]} images but {labels.size} labels")
@@ -268,9 +276,12 @@ def from_bytes(data):
     if remaining != payload:
         raise ModelFormatError(
             f"model payload is {remaining} bytes, topology {sizes} needs {payload}")
-    model = DbnModel(sizes, rng_seed=rng_seed, levels=levels, delta_d=delta_d,
-                     input_scale=input_scale, w_min=w_min, w_max=w_max,
-                     use_biases=bool(flags & _FLAG_USE_BIASES))
+    try:
+        model = DbnModel(sizes, rng_seed=rng_seed, levels=levels, delta_d=delta_d,
+                         input_scale=input_scale, w_min=w_min, w_max=w_max,
+                         use_biases=bool(flags & _FLAG_USE_BIASES))
+    except ValueError as exc:
+        raise ModelFormatError(f"corrupt device config: {exc}") from None
     for layer in model.layers:
         grid = layer.grid
         n_v, n_h = grid.n_visible, grid.n_hidden

@@ -135,6 +135,10 @@ class SynapseGrid:
             raise IndexError(f"column {column} outside grid")
         self._pulse(self.states[:, column], directions)
 
+    def pulse_all(self, directions):
+        """Pulse every cell at once; directions in {-1, 0, 1}, one per cell."""
+        self._pulse(self.states, directions)
+
     def pulse_visible_bias(self, directions):
         self._pulse(self.visible_bias_states, directions)
 
@@ -150,11 +154,13 @@ class SynapseGrid:
         if direction.shape != states.shape:
             raise DimensionError(
                 f"directions must have shape {states.shape}, got {direction.shape}")
-        if direction.size and not np.isin(direction, (-1, 0, 1)).all():
+        if direction.size and (direction.min() < -1 or direction.max() > 1):
             raise ValueError("directions must be -1, 0, or 1")
-        states[:] = np.clip(states + direction * self.delta_d, 0, self.levels - 1)
-        self.pulse_count += int(np.count_nonzero(direction))
+        # Drop the cached float weights before the write allocates its temporary.
         self._touch()
+        states += direction * self.delta_d
+        np.clip(states, 0, self.levels - 1, out=states)
+        self.pulse_count += int(np.count_nonzero(direction))
 
     def load_states(self, states, visible_bias_states, hidden_bias_states):
         """Overwrite every state index at once, with full range validation."""

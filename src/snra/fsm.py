@@ -6,6 +6,14 @@ Update clock writes a single hidden column: bl_i = v_i AND h_j and
 sl_i = v_bar_i AND h_bar_j realize the positive and negative phases of
 the weight-change rule with per-column AND gates.
 
+``step`` is the clocked model, one clock and one signal frame per call,
+behind waveforms and traces.  Training runs ``run_cd_iteration``, which
+steps the three read clocks and fuses the n_hidden Update clocks into one
+whole-grid write: the column writes touch disjoint columns and draw no
+random numbers, so together they are the CD-1 rule
+clip(states + delta_d * (v h^T - v_bar h_bar^T)) and leave the device,
+registers and clock count exactly as the clocked model does.
+
 Every controller is a training controller; inference reads the array
 directly (see ``dbn.predict``).  Layer stacks are validated here, in
 ``layer_sizes``, for every module that takes a topology.
@@ -43,6 +51,18 @@ def update_frame(v, h, v_bar, h_bar, column):
     bl = (v & h[column]).astype(np.uint8)
     sl = (v_bar & h_bar[column]).astype(np.uint8)
     return SignalFrame.write_frame(column, bl, sl, h.size)
+
+
+def update_directions(v, h, v_bar, h_bar):
+    """Pulse directions of all n_hidden Update clocks, one column per clock.
+
+    Column j is bl - sl of ``update_frame`` for column j.  Trusts the four
+    registers to be uint8 bit vectors.
+    """
+    # Bit products and their difference fit int8; widen once at the end.
+    direction = np.multiply.outer(v, h).view(np.int8)
+    direction -= np.multiply.outer(v_bar, h_bar).view(np.int8)
+    return direction.astype(np.int64)
 
 
 class CdFsm:
@@ -109,13 +129,8 @@ class CdFsm:
             self.bl_reg[:] = frame.bl
             self.sl_reg[:] = frame.sl
             array.apply_frame(frame)
-            if column == 0 and array.use_biases:
-                # Bias drivers fire once per iteration, in parallel with the
-                # first column write, so the clock count is unchanged.
-                array.grid.pulse_visible_bias(
-                    np.sign(self.v.astype(np.int64) - self.v_bar.astype(np.int64)))
-                array.grid.pulse_hidden_bias(
-                    np.sign(self.h.astype(np.int64) - self.h_bar.astype(np.int64)))
+            if column == 0:
+                self._pulse_biases(array)
             self.counter += 1
             if self.counter == self.n_hidden:
                 self.counter = 0
@@ -123,14 +138,36 @@ class CdFsm:
         self.clock_count += 1
         return frame
 
+    def _pulse_biases(self, array):
+        # Bias drivers fire once per iteration, in parallel with the first
+        # column write, so the clock count is unchanged.
+        if array.use_biases:
+            array.grid.pulse_visible_bias(self.v.astype(np.int64) - self.v_bar)
+            array.grid.pulse_hidden_bias(self.h.astype(np.int64) - self.h_bar)
+
     def run_cd_iteration(self, array, input_bits, rng, clamp_hidden=None):
-        """One full training iteration; returns (frames, clocks)."""
+        """One full training iteration with the Update clocks fused; returns its clocks.
+
+        The three read clocks go through ``step``, so random draws keep
+        their order.  The n_hidden Update clocks become one whole-grid
+        write plus the bias pulses; device state, pulse count, registers,
+        state, counter and clock count end exactly as after n_hidden + 3
+        ``step`` calls.
+        """
         if self.state is not State.FEED_FORWARD:
             raise ProtocolError("iteration must start from the feed-forward state")
-        frames = [self.step(array, input_bits, rng, clamp_hidden)]
-        while self.state is not State.FEED_FORWARD:
-            frames.append(self.step(array, rng=rng))
-        return frames, len(frames)
+        self.step(array, input_bits, rng, clamp_hidden)
+        self.step(array, rng=rng)
+        self.step(array, rng=rng)
+        array.grid.pulse_all(update_directions(self.v, self.h, self.v_bar, self.h_bar))
+        self._pulse_biases(array)
+        # bl/sl registers hold the last column's write, as the clocked model leaves them.
+        np.bitwise_and(self.v, self.h[-1], out=self.bl_reg)
+        np.bitwise_and(self.v_bar, self.h_bar[-1], out=self.sl_reg)
+        self.state = State.FEED_FORWARD
+        self.clock_count += self.n_hidden
+        return self.n_hidden + 3
+
 
 def layer_sizes(topology):
     """Validate a layer stack: a tuple of at least two positive sizes."""

@@ -17,11 +17,13 @@ def training_set():
     return data.images, data.labels
 
 
-def header(sizes, version=dbn.FORMAT_VERSION):
+def header(sizes, version=dbn.FORMAT_VERSION, levels=32, delta_d=1,
+           input_scale=1.0, w_min=-1.0, w_max=1.0):
     """A complete model header: everything before the device states."""
     return (dbn.MAGIC + struct.pack("<HH", version, len(sizes))
             + struct.pack(f"<{len(sizes)}I", *sizes)
-            + struct.pack("<HH", 32, 1) + struct.pack("<ddd", 1.0, -1.0, 1.0)
+            + struct.pack("<HH", levels, delta_d)
+            + struct.pack("<ddd", input_scale, w_min, w_max)
             + struct.pack("<QH", 1, 1))
 
 
@@ -55,6 +57,14 @@ class TestSerialization:
             with pytest.raises(ModelFormatError):
                 dbn.from_bytes(header(sizes))
 
+    @pytest.mark.parametrize("config", [
+        {"levels": 0}, {"levels": 1}, {"delta_d": 0}, {"input_scale": float("nan")},
+        {"w_min": 1.0, "w_max": 1.0}, {"w_min": 1.0, "w_max": -1.0}])
+    def test_bad_device_config_rejected(self, config):
+        # a 2x1 model's all-zero states are valid at any levels >= 1
+        with pytest.raises(ModelFormatError):
+            dbn.from_bytes(header((2, 1), **config) + bytes(2 * (2 + 2 + 1)))
+
     def test_payload_checked_before_allocation(self, monkeypatch):
         # A grid of 100000x100000 cells would need about 80 GB, so the
         # declared sizes must be rejected before any model is built.
@@ -83,3 +93,28 @@ class TestDerivedStreams:
         image = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         assert ([dbn.predict(model, image, k) for k in range(10)]
                 == [dbn.predict(model, image, k) for k in range(10)])
+
+
+class TestImageValidation:
+    @pytest.mark.parametrize("pixel", [257, 256, 0.7])
+    def test_non_bit_pixels_rejected(self, pixel):
+        images, labels = training_set()
+        bad = images.astype(np.float64 if isinstance(pixel, float) else np.int64)
+        bad[0, 0] = pixel
+        model = small_model()
+        with pytest.raises(ValueError):
+            dbn.greedy_train(model, bad, labels, 1)
+        with pytest.raises(ValueError):
+            dbn.error_rate(model, bad, labels)
+        assert model.fingerprint() == small_model().fingerprint()
+
+    def test_bool_and_integer_images_accepted(self):
+        images, labels = training_set()
+        reference = small_model()
+        dbn.greedy_train(reference, images, labels, 1)
+        for dtype in (bool, np.int64):
+            model = small_model()
+            dbn.greedy_train(model, images.astype(dtype), labels, 1)
+            assert model.fingerprint() == reference.fingerprint()
+            assert (dbn.error_rate(model, images.astype(dtype), labels)
+                    == dbn.error_rate(reference, images, labels))

@@ -5,7 +5,9 @@ from snra.array import READ, WRITE, RbmArray
 from snra.bits import bits_from_string
 from snra.device import SynapseGrid
 from snra.errors import DimensionError, ProtocolError
-from snra.fsm import CLOCK_PERIOD_S, CdFsm, State, train_clock_budget, update_frame
+from snra.fsm import (CLOCK_PERIOD_S, CdFsm, State, train_clock_budget, update_directions,
+                      update_frame)
+from snra.oracle import cd_delta
 from snra.trace import iteration_steps, parse_vcd, write_vcd
 
 
@@ -15,6 +17,14 @@ def make_array(n_v, n_h, use_biases=True, seed=None):
     else:
         grid = SynapseGrid.uniform_random(n_v, n_h, np.random.default_rng(seed))
     return RbmArray(grid, use_biases=use_biases)
+
+
+def step_iteration(fsm, crossbar, input_bits, rng, clamp_hidden=None):
+    """One iteration driven clock by clock; returns the frame of every clock."""
+    frames = [fsm.step(crossbar, input_bits, rng, clamp_hidden)]
+    while fsm.state is not State.FEED_FORWARD:
+        frames.append(fsm.step(crossbar, rng=rng))
+    return frames
 
 
 class TestStateMachine:
@@ -53,9 +63,8 @@ class TestStateMachine:
 class TestIteration:
     def test_frame_sequence(self):
         fsm = CdFsm(4, 3)
-        frames, clocks = fsm.run_cd_iteration(
-            make_array(4, 3), [1, 0, 1, 1], np.random.default_rng(1))
-        assert clocks == 6
+        frames = step_iteration(fsm, make_array(4, 3), [1, 0, 1, 1], np.random.default_rng(1))
+        assert len(frames) == fsm.clock_count == 6
         assert [f.phase for f in frames] == [READ] * 3 + [WRITE] * 3
         for column, frame in enumerate(frames[3:]):
             assert frame.column == column
@@ -89,8 +98,7 @@ class TestIteration:
     def test_registers_drive_frames(self):
         fsm = CdFsm(4, 2)
         crossbar = make_array(4, 2, seed=4)
-        frames, _ = fsm.run_cd_iteration(crossbar, [1, 1, 0, 0],
-                                         np.random.default_rng(7))
+        frames = step_iteration(fsm, crossbar, [1, 1, 0, 0], np.random.default_rng(7))
         for column, frame in enumerate(frames[3:]):
             expected = update_frame(fsm.v, fsm.h, fsm.v_bar, fsm.h_bar, column)
             assert frame == expected
@@ -119,6 +127,66 @@ class TestIteration:
         assert fsm.h.tolist() == clamp.tolist()
         # clamping skips the hidden sampling, consuming no draws
         assert rng.random() == ref.random()
+
+
+class TestFusedIteration:
+    """run_cd_iteration against the clocked model it fuses."""
+
+    @staticmethod
+    def twin(n_v, n_h, levels, delta_d, use_biases):
+        grid = SynapseGrid.uniform_random(n_v, n_h, np.random.default_rng(11),
+                                          levels=levels, delta_d=delta_d)
+        return RbmArray(grid, use_biases=use_biases), CdFsm(n_v, n_h), np.random.default_rng(12)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("levels", [2, 32])
+    @pytest.mark.parametrize("delta_d", [1, 3])
+    @pytest.mark.parametrize("use_biases", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (784, 16)])
+    def test_equals_clocked_iterations(self, shape, use_biases, delta_d, levels, clamp):
+        n_v, n_h = shape
+        fused_array, fused, fused_rng = self.twin(n_v, n_h, levels, delta_d, use_biases)
+        clocked_array, clocked, clocked_rng = self.twin(n_v, n_h, levels, delta_d, use_biases)
+        inputs = np.random.default_rng(13)
+        for _ in range(3):
+            bits = inputs.integers(0, 2, n_v)
+            hidden = inputs.integers(0, 2, n_h) if clamp else None
+            assert fused.run_cd_iteration(fused_array, bits, fused_rng, hidden) == n_h + 3
+            frames = step_iteration(clocked, clocked_array, bits, clocked_rng, hidden)
+            assert len(frames) == n_h + 3
+            assert fused_array.grid.fingerprint() == clocked_array.grid.fingerprint()
+            assert fused_array.grid.pulse_count == clocked_array.grid.pulse_count
+            assert fused.clock_count == clocked.clock_count
+            for name in ("v", "h", "v_bar", "h_bar", "bl_reg", "sl_reg"):
+                assert getattr(fused, name).tolist() == getattr(clocked, name).tolist(), name
+            assert fused.state is clocked.state is State.FEED_FORWARD
+            assert fused.counter == clocked.counter == 0
+        assert fused_rng.random() == clocked_rng.random()
+
+    def test_direction_columns_are_update_frames(self):
+        rng = np.random.default_rng(14)
+        v, v_bar = rng.integers(0, 2, (2, 6)).astype(np.uint8)
+        h, h_bar = rng.integers(0, 2, (2, 5)).astype(np.uint8)
+        direction = update_directions(v, h, v_bar, h_bar)
+        for column in range(5):
+            frame = update_frame(v, h, v_bar, h_bar, column)
+            expected = frame.bl.astype(np.int64) - frame.sl
+            assert direction[:, column].tolist() == expected.tolist()
+
+    def test_weight_change_is_cd_delta(self):
+        # Away from the rails no write saturates, so the quantized step is
+        # exactly the float CD-1 rule.
+        n_v, n_h, delta_d = 20, 6, 2
+        rng = np.random.default_rng(15)
+        grid = SynapseGrid(n_v, n_h, levels=32, delta_d=delta_d,
+                           states=rng.integers(delta_d, 32 - delta_d, (n_v, n_h)))
+        crossbar = RbmArray(grid)
+        fsm = CdFsm(n_v, n_h)
+        before = grid.states.copy()
+        fsm.run_cd_iteration(crossbar, rng.integers(0, 2, n_v), rng)
+        expected = cd_delta(fsm.v, fsm.h, fsm.v_bar, fsm.h_bar, grid.eta)
+        assert expected.any()
+        np.testing.assert_array_equal((grid.states - before) * grid.weight_step, expected)
 
 
 class TestBiasTraining:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snra.array import RbmArray
+from snra.device import SynapseGrid
 from snra.errors import DimensionError
 from snra.oracle import (MAX_EXACT_NODES, DenseRbm, cd_delta, energy,
-                         exact_distribution, joint_index, tv_distance)
+                         exact_distribution, gibbs_joint_counts, joint_index,
+                         tv_distance)
 
 
 def random_rbm(rng, n_v=3, n_h=2):
@@ -139,6 +142,18 @@ class TestTvDistance:
     def test_shape_check(self):
         with pytest.raises(DimensionError):
             tv_distance([1.0], [0.5, 0.5])
+
+
+class TestGibbsChain:
+    def test_matches_exact_distribution(self):
+        # A p-bit Gibbs chain samples the Boltzmann law (Camsari et al.,
+        # PRX 7, 031014, 2017); 0.08 is the benchmark's bound for 4x3.
+        rng = np.random.default_rng(1)
+        grid = SynapseGrid.uniform_random(4, 3, rng)
+        counts = gibbs_joint_counts(RbmArray(grid), 20000, rng)
+        assert counts.sum() == 20000
+        exact = exact_distribution(DenseRbm.from_grid(grid))
+        assert tv_distance(counts / counts.sum(), exact) < 0.08
 
 
 def test_joint_index_layout():
