@@ -15,7 +15,7 @@ from .errors import SnraError
 from .fsm import CdFsm, State, train_clock_budget
 from .oracle import DenseRbm, cd_delta, energy, exact_distribution
 from .power import comparison_report, topology_power
-from .trace import TraceConfig, parse_vcd, write_vcd
+from .trace import parse_vcd, write_vcd
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "SnraError",
     "State",
     "SynapseGrid",
-    "TraceConfig",
     "cd_delta",
     "comparison_report",
     "energy",

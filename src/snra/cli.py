@@ -71,9 +71,6 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    if not os.path.exists(args.model):
-        print(f"error: model not found: {args.model}", file=sys.stderr)
-        return 1
     model = dbn.load_model(args.model)
     data = load_idx(args.images, args.labels, limit=args.test_samples)
     rate = dbn.error_rate(model, data.images, data.labels)

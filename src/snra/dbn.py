@@ -22,7 +22,7 @@ from .array import RbmArray
 from .bits import ensure_bits
 from .device import PBit, SynapseGrid
 from .errors import DimensionError, ModelFormatError
-from .fsm import CLOCK_PERIOD_S, CdFsm, layer_sizes
+from .fsm import CLOCK_HZ, CLOCK_PERIOD_S, CdFsm, layer_sizes
 
 MAGIC = b"SNRA"
 FORMAT_VERSION = 1
@@ -111,7 +111,7 @@ class TrainingReport:
 
     @property
     def seconds(self):
-        """Wall time the hardware would need at the 500 MHz clock."""
+        """Wall time the hardware would need at ``CLOCK_HZ``."""
         return self.total_clocks * CLOCK_PERIOD_S
 
     def summary_lines(self):
@@ -120,7 +120,7 @@ class TrainingReport:
             for r in self.layers
         ]
         lines.append(f"total clocks={self.total_clocks} "
-                     f"({self.seconds * 1e6:.3f} us at 500 MHz)")
+                     f"({self.seconds * 1e6:.3f} us at {CLOCK_HZ / 1e6:g} MHz)")
         return lines
 
 
@@ -134,7 +134,9 @@ def _bit_images(model, images):
     return ensure_bits(images.reshape(-1), name="image pixels").reshape(images.shape)
 
 
-def _check_training_data(model, images, labels):
+def _check_labeled_data(model, images, labels):
+    """Checked images plus labels as int64 class indices of the top layer,
+    one per image; used by both training and evaluation."""
     images = _bit_images(model, images)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (images.shape[0],):
@@ -154,7 +156,7 @@ def greedy_train(model, images, labels, epochs):
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    images, labels = _check_training_data(model, images, labels)
+    images, labels = _check_labeled_data(model, images, labels)
     data = images
     report = TrainingReport()
     last = len(model.layers) - 1
@@ -197,12 +199,9 @@ def predict(model, image, sample_index=0):
 
 def error_rate(model, images, labels):
     """Fraction of misclassified samples."""
-    images = _bit_images(model, images)
-    labels = np.asarray(labels, dtype=np.int64)
+    images, labels = _check_labeled_data(model, images, labels)
     if images.shape[0] == 0:
         raise DimensionError("test set must contain at least one image")
-    if labels.shape != (images.shape[0],):
-        raise DimensionError(f"{images.shape[0]} images but {labels.size} labels")
     wrong = sum(int(predict(model, images[k], k) != labels[k])
                 for k in range(images.shape[0]))
     return wrong / images.shape[0]

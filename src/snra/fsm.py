@@ -82,6 +82,11 @@ class CdFsm:
         self.sl_reg = np.zeros(self.n_visible, dtype=np.uint8)
         self.h = np.zeros(self.n_hidden, dtype=np.uint8)
         self.h_bar = np.zeros(self.n_hidden, dtype=np.uint8)
+        # Every read clock drives this one frame; its rails are read-only
+        # because every caller of ``step`` shares it.
+        self._read_frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
+        for rail in (self._read_frame.wwl, self._read_frame.bl, self._read_frame.sl):
+            rail.flags.writeable = False
 
     def load_registers(self, v, h, v_bar, h_bar):
         """Force the sample registers and park the controller at Update.
@@ -113,15 +118,15 @@ class CdFsm:
                 self.h[:] = ensure_bits(clamp_hidden, self.n_hidden, "clamped hidden vector")
             else:
                 self.h[:] = array.forward(self.v, rng)
-            frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
+            frame = self._read_frame
             self.state = State.FEED_BACK
         elif self.state is State.FEED_BACK:
             self.v_bar[:] = array.backward(self.h, rng)
-            frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
+            frame = self._read_frame
             self.state = State.RECONSTRUCT
         elif self.state is State.RECONSTRUCT:
             self.h_bar[:] = array.forward(self.v_bar, rng)
-            frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
+            frame = self._read_frame
             self.state = State.UPDATE
         else:
             column = self.counter

@@ -97,19 +97,20 @@ def tv_distance(p, q):
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def gibbs_joint_counts(array, sweeps, rng, start=None):
+def gibbs_joint_counts(array, sweeps, rng):
     """Visit counts of (v, h) joint states along an alternating Gibbs chain.
 
-    Each sweep samples h given v then v given h through the array; the
-    recorded pair (v, h) is one draw from the chain whose stationary law
-    is the Boltzmann distribution.  Index layout matches joint_index.
+    Starting from v = 0, each sweep samples h given v then v given h
+    through the array; the recorded pair (v, h) is one draw from the chain
+    whose stationary law is the Boltzmann distribution.  Index layout
+    matches joint_index.
     """
     n_v, n_h = array.n_visible, array.n_hidden
     if n_v + n_h > MAX_EXACT_NODES:
         raise ValueError(
             f"joint-state counting limited to {MAX_EXACT_NODES} total nodes")
     counts = np.zeros(1 << (n_v + n_h), dtype=np.int64)
-    v = np.zeros(n_v, dtype=np.uint8) if start is None else ensure_bits(start, n_v)
+    v = np.zeros(n_v, dtype=np.uint8)
     pow_v = 1 << np.arange(n_v, dtype=np.int64)
     pow_h = 1 << np.arange(n_h, dtype=np.int64)
     for _ in range(sweeps):

@@ -9,8 +9,13 @@ idle while the (reconfigured) fabric trains the later stages.  Fabrics
 with gated idle storage pay no standby power at all.
 
 All technology constants and utilization records live in the bundled
-``data/lut_reference.txt``; nothing numeric is hard-coded here.  Every
-function that takes a topology validates it with ``fsm.layer_sizes``.
+``data/lut_reference.txt``; nothing numeric is hard-coded here.  Only the
+columns this model reads are parsed: the file also carries each LUT's
+write power, delays and energies and each topology's slice registers,
+which have no reader yet.  A technology is named exactly as in the file
+(``SRAM`` is "sram", ``SHE_MTJ`` is "she-mtj"); any other name raises
+``UnknownTechnologyError``.  Every function that takes a topology
+validates it with ``fsm.layer_sizes``.
 """
 
 import csv
@@ -33,13 +38,8 @@ class LutTech:
     mos_count: int
     mtj_count: int
     read_uw: float
-    write_uw: float
     static_uw: float
     gated_idle: bool
-    read_delay_ps: float
-    write_delay_ns: float
-    read_energy_aj: float
-    write_energy_fj: float
 
     @property
     def standby_uw(self):
@@ -52,7 +52,6 @@ class UtilizationRecord:
     """Synthesized controller utilization for one network topology."""
 
     topology: tuple
-    slice_registers: int
     slice_luts: int
     fully_used_lut_ffs: int
     reference_power_mw: float
@@ -66,11 +65,10 @@ class PowerTable:
         self.utilization = list(utilization)
 
     def tech(self, name):
-        key = normalize_tech(name)
-        if key not in self.techs:
+        if name not in self.techs:
             known = ", ".join(sorted(self.techs))
             raise UnknownTechnologyError(f"unknown technology {name!r} (known: {known})")
-        return self.techs[key]
+        return self.techs[name]
 
     def record_for(self, topology):
         """Utilization record for a topology, by exact or largest-RBM match."""
@@ -85,10 +83,6 @@ class PowerTable:
         raise UnknownTopologyError(
             f"no utilization record for topology {format_topology(topology)} "
             f"(largest RBM {wanted[0]}x{wanted[1]})")
-
-
-def normalize_tech(name):
-    return str(name).strip().lower().replace("_", "-")
 
 
 def format_topology(topology):
@@ -120,24 +114,17 @@ def load_reference():
         fields = line.split()
         kind = fields[0]
         if kind == "lut":
-            name = normalize_tech(fields[1])
-            techs[name] = LutTech(
-                name=name,
+            techs[fields[1]] = LutTech(
+                name=fields[1],
                 mos_count=int(fields[2]),
                 mtj_count=int(fields[3]),
                 read_uw=float(fields[4]),
-                write_uw=float(fields[5]),
                 static_uw=float(fields[6]),
                 gated_idle=_parse_bool(fields[7]),
-                read_delay_ps=float(fields[8]),
-                write_delay_ns=float(fields[9]),
-                read_energy_aj=float(fields[10]),
-                write_energy_fj=float(fields[11]),
             )
         elif kind == "utilization":
             utilization.append(UtilizationRecord(
                 topology=parse_topology(fields[1]),
-                slice_registers=int(fields[2]),
                 slice_luts=int(fields[3]),
                 fully_used_lut_ffs=int(fields[4]),
                 reference_power_mw=float(fields[5]),
@@ -145,18 +132,6 @@ def load_reference():
         else:
             raise ValueError(f"unknown record type {kind!r} in reference data")
     return PowerTable(techs, utilization)
-
-
-def power_total(active_idle_pairs, tech, table=None):
-    """Sum A_i * p_read + I_i * p_standby over stages, in mW."""
-    table = table if table is not None else load_reference()
-    record = table.tech(tech) if isinstance(tech, str) else tech
-    total_uw = 0.0
-    for active, idle in active_idle_pairs:
-        if active < 0 or idle < 0:
-            raise ValueError("pair counts must be non-negative")
-        total_uw += active * record.read_uw + idle * record.standby_uw
-    return total_uw / 1000.0
 
 
 def stage_pairs(topology, table=None):
@@ -175,18 +150,15 @@ def stage_pairs(topology, table=None):
 
 
 def topology_power(topology, tech, table=None):
-    """Total controller power for a topology, in mW."""
+    """Total controller power for a topology on the named technology, in mW:
+    A_i * p_read + I_i * p_standby summed over its stages."""
     table = table if table is not None else load_reference()
-    return power_total(stage_pairs(topology, table), tech, table)
-
-
-def device_counts(lut_count, tech, table=None):
-    """(MOS, MTJ) device totals for a LUT budget."""
-    if lut_count < 0:
-        raise ValueError(f"lut_count must be non-negative, got {lut_count}")
-    table = table if table is not None else load_reference()
-    record = table.tech(tech) if isinstance(tech, str) else tech
-    return lut_count * record.mos_count, lut_count * record.mtj_count
+    pairs = stage_pairs(topology, table)
+    record = table.tech(tech)
+    total_uw = 0.0
+    for active, idle in pairs:
+        total_uw += active * record.read_uw + idle * record.standby_uw
+    return total_uw / 1000.0
 
 
 def comparison_report(topologies=None, csv_path=None, table=None):
@@ -201,19 +173,17 @@ def comparison_report(topologies=None, csv_path=None, table=None):
     rows = []
     for topology in topologies:
         topology = layer_sizes(topology)
-        sram_mw = topology_power(topology, sram, table)
-        alt_mw = topology_power(topology, alt, table)
+        sram_mw = topology_power(topology, SRAM, table)
+        alt_mw = topology_power(topology, SHE_MTJ, table)
         luts = table.record_for(topology).slice_luts
-        sram_mos, _ = device_counts(luts, sram, table)
-        alt_mos, alt_mtj = device_counts(luts, alt, table)
         rows.append([
             format_topology(topology),
             f"{sram_mw:.2f}",
             f"{alt_mw:.2f}",
             f"{100.0 * (1.0 - alt_mw / sram_mw):.1f}",
-            str(sram_mos),
-            str(alt_mos),
-            str(alt_mtj),
+            str(luts * sram.mos_count),
+            str(luts * alt.mos_count),
+            str(luts * alt.mtj_count),
             f"{100.0 * (1.0 - alt.mos_count / sram.mos_count):.1f}",
         ])
     if csv_path is not None:

@@ -1,12 +1,14 @@
 """Waveform capture: controller signal frames to VCD text and back.
 
-The dump carries CLK, STATE, RWL, WWL, BL, SL, and COUNTER.  One
-timestamp is emitted per controller clock (rising edge) plus a final
-timestamp that returns the rails to the idle read condition, so a run of
-n clocks produces n + 1 timestamps.  CLK is drawn toggling once per
-timestamp as a cadence marker.  Vector values are written MSB first, so
-register element 0 is the rightmost character; released bit and source
-lines are dumped as 'z'.
+The dump carries CLK, STATE, RWL, WWL, BL, SL, and COUNTER of module
+``cd_fsm`` on a 1 ns timescale.  One timestamp is emitted per controller
+clock (rising edge), spaced by the controller's clock period
+(``fsm.CLOCK_PERIOD_S``, 2 ns at 500 MHz), plus a final timestamp that
+returns the rails to the idle read condition: a read frame at
+FEED_FORWARD with the counter at 0.  A run of n clocks therefore produces
+n + 1 timestamps.  CLK is drawn toggling once per timestamp as a cadence
+marker.  Vector values are written MSB first, so register element 0 is
+the rightmost character; released bit and source lines are dumped as 'z'.
 """
 
 from dataclasses import dataclass
@@ -14,30 +16,13 @@ from dataclasses import dataclass
 from .array import READ, WRITE, SignalFrame
 from .bits import bits_from_string, bits_to_string, ensure_bits
 from .errors import ProtocolError
-from .fsm import State, update_frame
+from .fsm import CLOCK_PERIOD_S, State, update_frame
 
 # '$' is skipped so identifier codes never collide with VCD keywords.
 _ID_CODES = "!\"#%&'("
 _SIGNAL_ORDER = ("CLK", "STATE", "RWL", "WWL", "BL", "SL", "COUNTER")
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Dump timing: 1 ns timescale, 2 ns clock (500 MHz) by default."""
-
-    timescale_ns: int = 1
-    clock_period_ns: int = 2
-    module: str = "cd_fsm"
-
-    def __post_init__(self):
-        if self.timescale_ns < 1:
-            raise ValueError("timescale must be at least 1 ns")
-        if self.clock_period_ns < 1 or self.clock_period_ns % self.timescale_ns:
-            raise ValueError("clock period must be a positive multiple of the timescale")
-
-    @property
-    def ticks_per_clock(self):
-        return self.clock_period_ns // self.timescale_ns
+# Timestamps are in 1 ns ticks.
+_TICKS_PER_CLOCK = round(CLOCK_PERIOD_S * 1e9)
 
 
 @dataclass
@@ -97,23 +82,10 @@ def _step_values(step, n_visible, n_hidden, clk):
     }
 
 
-def _idle_values(n_visible, n_hidden, clk):
-    return {
-        "CLK": clk,
-        "STATE": format(int(State.FEED_FORWARD), "02b"),
-        "RWL": "1",
-        "WWL": "0" * n_hidden,
-        "BL": "z" * n_visible,
-        "SL": "z" * n_visible,
-        "COUNTER": "0" * _counter_width(n_hidden),
-    }
-
-
-def write_vcd(steps, config=None, path=None):
+def write_vcd(steps, path=None):
     """Render trace steps as VCD text; optionally write it to a file."""
     if not steps:
         raise ProtocolError("cannot dump an empty trace")
-    config = config if config is not None else TraceConfig()
     n_visible = steps[0].frame.bl.size
     n_hidden = steps[0].frame.wwl.size
     widths = {
@@ -126,8 +98,7 @@ def write_vcd(steps, config=None, path=None):
         "COUNTER": _counter_width(n_hidden),
     }
     ids = dict(zip(_SIGNAL_ORDER, _ID_CODES))
-    lines = [f"$timescale {config.timescale_ns}ns $end",
-             f"$scope module {config.module} $end"]
+    lines = ["$timescale 1ns $end", "$scope module cd_fsm $end"]
     for name in _SIGNAL_ORDER:
         width = widths[name]
         rng = f" [{width - 1}:0]" if width > 1 else ""
@@ -135,13 +106,12 @@ def write_vcd(steps, config=None, path=None):
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
 
+    idle = TraceStep(SignalFrame.read_frame(n_visible, n_hidden), State.FEED_FORWARD, 0)
     snapshots = [_step_values(step, n_visible, n_hidden, "1" if k % 2 == 0 else "0")
-                 for k, step in enumerate(steps)]
-    snapshots.append(_idle_values(n_visible, n_hidden,
-                                  "1" if len(steps) % 2 == 0 else "0"))
+                 for k, step in enumerate([*steps, idle])]
     previous = None
     for k, snapshot in enumerate(snapshots):
-        lines.append(f"#{k * config.ticks_per_clock}")
+        lines.append(f"#{k * _TICKS_PER_CLOCK}")
         if previous is None:
             lines.append("$dumpvars")
         for name in _SIGNAL_ORDER:

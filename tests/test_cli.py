@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
+from test_dataset import write_idx_pair
 
-from snra import cli
+from snra import cli, dbn
 
 
 def run(argv, capsys):
@@ -30,6 +32,15 @@ def test_user_errors_exit_1(argv, capsys):
 def test_missing_model_file_exits_1(capsys, tmp_path):
     argv = ["eval", "--model", str(tmp_path / "absent.snra"), "--images", "i",
             "--labels", "l"]
+    assert run(argv, capsys)[0] == 1
+
+
+def test_eval_labels_outside_the_model_exit_1(capsys, tmp_path):
+    model_path = tmp_path / "model.snra"
+    dbn.save_model(dbn.DbnModel((784, 2)), model_path)
+    images, labels = write_idx_pair(tmp_path, np.zeros((2, 784)), [0, 5])
+    argv = ["eval", "--model", str(model_path), "--images", str(images),
+            "--labels", str(labels)]
     assert run(argv, capsys)[0] == 1
 
 

@@ -95,6 +95,16 @@ class TestDerivedStreams:
                 == [dbn.predict(model, image, k) for k in range(10)])
 
 
+class TestLabelValidation:
+    @pytest.mark.parametrize("labels", [[99, -5, 7], [0, 1, 2], [-1, 0, 1]])
+    @pytest.mark.parametrize("run", [
+        lambda model, images, labels: dbn.greedy_train(model, images, labels, 1),
+        dbn.error_rate])
+    def test_labels_outside_the_top_layer_rejected(self, run, labels):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 1\]"):
+            run(small_model(), np.zeros((3, 8), dtype=np.uint8), labels)
+
+
 class TestImageValidation:
     @pytest.mark.parametrize("pixel", [257, 256, 0.7])
     def test_non_bit_pixels_rejected(self, pixel):

@@ -66,6 +66,10 @@ class TestIteration:
         frames = step_iteration(fsm, make_array(4, 3), [1, 0, 1, 1], np.random.default_rng(1))
         assert len(frames) == fsm.clock_count == 6
         assert [f.phase for f in frames] == [READ] * 3 + [WRITE] * 3
+        # the read clocks share one frame, which no caller can change
+        assert frames[0] is frames[1] is frames[2]
+        with pytest.raises(ValueError):
+            frames[0].bl[0] = 1
         for column, frame in enumerate(frames[3:]):
             assert frame.column == column
         assert fsm.state is State.FEED_FORWARD and fsm.counter == 0

@@ -2,7 +2,7 @@ import pytest
 
 from snra import fsm, power
 from snra.dbn import DbnModel
-from snra.errors import DimensionError
+from snra.errors import DimensionError, UnknownTechnologyError
 
 
 def test_utilization_rows_match_reference_power():
@@ -10,6 +10,23 @@ def test_utilization_rows_match_reference_power():
     for record in table.utilization:
         milliwatts = power.topology_power(record.topology, power.SRAM, table)
         assert milliwatts == pytest.approx(record.reference_power_mw, rel=0.02)
+
+
+def test_comparison_rows_meet_the_abstracts_claims():
+    # The SHE-MTJ fabric needs over 80% less power and at least 50% fewer
+    # MOS devices than the SRAM fabric, for every reference topology.
+    header, *rows = [line.split() for line in power.comparison_report().splitlines()]
+    assert len(rows) == len(power.load_reference().utilization)
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert float(cells["power_reduction_pct"]) > 80
+        assert float(cells["mos_reduction_pct"]) >= 50
+
+
+@pytest.mark.parametrize("tech", ["SRAM", "she_mtj", "tape"])
+def test_technologies_are_looked_up_by_exact_name(tech):
+    with pytest.raises(UnknownTechnologyError):
+        power.topology_power((784, 10), tech)
 
 
 ENTRY_POINTS = {

@@ -4,7 +4,7 @@ import pytest
 from snra.array import RbmArray
 from snra.device import SynapseGrid
 from snra.errors import ProtocolError
-from snra.fsm import CdFsm, State
+from snra.fsm import CLOCK_PERIOD_S, CdFsm, State
 from snra.trace import (TraceStep, iteration_steps, parse_vcd, steps_from_vcd,
                         write_vcd)
 
@@ -32,6 +32,21 @@ def test_recorded_iteration_round_trips_through_vcd():
     assert steps_from_vcd(trace) == steps
     assert steps == iteration_steps(controller.v, controller.h,
                                     controller.v_bar, controller.h_bar)
+
+
+def test_timestamps_step_by_the_clock_period():
+    _, steps = recorded_iteration()
+    trace = parse_vcd(write_vcd(steps))
+    tick = round(CLOCK_PERIOD_S * 1e9)
+    assert trace.timescale == "1ns"
+    assert [time for time, _ in trace.snapshots] == [k * tick for k in range(len(steps) + 1)]
+
+
+def test_dump_ends_on_an_idle_read_clock():
+    _, steps = recorded_iteration(n_visible=5, n_hidden=3)
+    _, idle = parse_vcd(write_vcd(steps)).snapshots[-1]
+    assert {name: idle[name] for name in ("STATE", "RWL", "WWL", "BL", "SL", "COUNTER")} == {
+        "STATE": "00", "RWL": "1", "WWL": "000", "BL": "zzzzz", "SL": "zzzzz", "COUNTER": "00"}
 
 
 def test_empty_trace_rejected():
