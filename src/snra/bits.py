@@ -30,12 +30,15 @@ def ensure_bits(values, length=None, name="bit vector"):
 
 def bits_from_string(text, name="bit string"):
     """Parse an MSB-first 0/1 string into an LSB-indexed bit vector."""
-    if not text or any(c not in "01" for c in text):
+    ascii_text = text.encode("ascii") if isinstance(text, str) and text.isascii() else b""
+    # Characters below '0' wrap around in uint8, so one bound rejects them all.
+    bits = np.frombuffer(ascii_text, dtype=np.uint8)[::-1] - 48
+    if not bits.size or bits.max() > 1:
         raise ValueError(f"{name} must be a non-empty string of 0/1 characters, got {text!r}")
-    return np.array([int(c) for c in reversed(text)], dtype=np.uint8)
+    return bits
 
 
 def bits_to_string(bits):
     """Render a bit vector MSB first."""
     arr = ensure_bits(bits)
-    return "".join(str(int(b)) for b in arr[::-1])
+    return (arr[::-1] + 48).tobytes().decode("ascii")

@@ -17,6 +17,7 @@ IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
 IMAGE_SIDE = 28
 DEFAULT_THRESHOLD = 127
+_READ_CHUNK = 1 << 20
 
 
 @dataclass
@@ -51,7 +52,14 @@ class LabeledBitSet:
 
 
 def _read_exact(stream, count, path, what):
-    data = stream.read(count)
+    # Read in bounded chunks: the count comes from the file's header, and a
+    # single read(count) would allocate all of it before finding the end.
+    data = bytearray()
+    while len(data) < count:
+        chunk = stream.read(min(count - len(data), _READ_CHUNK))
+        if not chunk:
+            break
+        data += chunk
     if len(data) != count:
         raise TruncatedFileError(
             f"{path}: expected {count} bytes of {what}, found {len(data)}")

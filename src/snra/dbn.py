@@ -138,7 +138,11 @@ def _check_labeled_data(model, images, labels):
     """Checked images plus labels as int64 class indices of the top layer,
     one per image; used by both training and evaluation."""
     images = _bit_images(model, images)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    # An empty list arrives as float64 and holds nothing to truncate.
+    if labels.size and labels.dtype.kind not in "iub":
+        raise ValueError(f"labels must hold integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64)
     if labels.shape != (images.shape[0],):
         raise DimensionError(
             f"{images.shape[0]} images but {labels.size} labels")

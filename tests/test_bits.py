@@ -23,10 +23,43 @@ def test_string_round_trip(bits):
     assert list(bits_from_string(bits_to_string(bits))) == bits
 
 
+def per_bit_string(bits):
+    """The per-character rendering that the array rendering must match."""
+    return "".join(str(b) for b in reversed(bits))
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=1000))
+def test_string_rendering_matches_per_bit_reference(bits):
+    assert bits_to_string(bits) == per_bit_string(bits)
+    assert bits_to_string(np.array(bits, dtype=np.uint8)) == per_bit_string(bits)
+
+
+def test_string_round_trip_at_image_width():
+    bits = np.random.default_rng(0).integers(0, 2, 784).astype(np.uint8)
+    text = bits_to_string(bits)
+    assert len(text) == 784
+    parsed = bits_from_string(text)
+    assert parsed.dtype == np.uint8
+    assert np.array_equal(parsed, bits)
+
+
 def test_parse_rejects_bad_strings():
-    for bad in ("", "012", "ab", "1 0"):
-        with pytest.raises(ValueError):
-            bits_from_string(bad)
+    # Non-ASCII digits and a str-like sequence are rejected like any other
+    # character outside 0/1.
+    for bad in ("", "012", "ab", "1 0", "0/1", "0\x001", "0\uff11", "\u0661",
+                "10\u00b9", b"01", ["0", "1"], ("1",), None, 1,
+                np.array([0, 1], dtype=np.uint8)):
+        with pytest.raises(ValueError,
+                           match="^--v must be a non-empty string of 0/1 characters, got "):
+            bits_from_string(bad, name="--v")
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([0, 2], ValueError), (np.array([1, 2], dtype=np.uint8), ValueError),
+    ([[0, 1], [1, 0]], DimensionError)])
+def test_rendering_rejects_non_bit_vectors(bad, error):
+    with pytest.raises(error):
+        bits_to_string(bad)
 
 
 def test_ensure_bits_validation():

@@ -44,6 +44,15 @@ def test_eval_labels_outside_the_model_exit_1(capsys, tmp_path):
     assert run(argv, capsys)[0] == 1
 
 
+def test_train_on_an_oversized_idx_header_exits_1(capsys, tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.zeros((1, 100), dtype=np.uint8), [1],
+                                    compress=True, image_count=0x00FFFFFF)
+    argv = ["train", "--topology", "784x10", "--images", str(images),
+            "--labels", str(labels), "--out", str(tmp_path / "model.snra")]
+    assert cli.main(argv) == 1
+    assert f"expected {0x00FFFFFF * 784} bytes of pixel data, found 100" in capsys.readouterr().err
+
+
 ORACLE = ["oracle", "--visible", "2", "--hidden", "2", "--sweeps", "300"]
 
 

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ class TestLoadIdx:
                                truncate_images=10)
         with pytest.raises(TruncatedFileError):
             load_idx(*paths)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_oversized_header_count_allocates_only_what_the_file_holds(
+            self, tmp_path, compress):
+        # 0x00FFFFFF images of 28x28 would be 13 GB; the file holds 100 bytes.
+        paths = write_idx_pair(tmp_path, np.zeros((1, 100), dtype=np.uint8), [1],
+                               compress=compress, image_count=0x00FFFFFF)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="found 100"):
+                load_idx(*paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_truncated_header(self, tmp_path):
         images_path = tmp_path / "broken-idx3-ubyte"

@@ -104,6 +104,27 @@ class TestLabelValidation:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 1\]"):
             run(small_model(), np.zeros((3, 8), dtype=np.uint8), labels)
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.7, 0.2], [1.9, 0.5, 1.2],
+                                        np.array([1.0, 0.0, 1.0])])
+    @pytest.mark.parametrize("run", [
+        lambda model, images, labels: dbn.greedy_train(model, images, labels, 1),
+        dbn.error_rate])
+    def test_non_integer_labels_rejected(self, run, labels):
+        model = small_model()
+        with pytest.raises(ValueError, match="labels must hold integers"):
+            run(model, np.zeros((3, 8), dtype=np.uint8), labels)
+        assert model.fingerprint() == small_model().fingerprint()
+
+    def test_integer_label_types_train_alike(self):
+        images, labels = training_set()
+        reference = small_model()
+        dbn.greedy_train(reference, images, labels, 1)
+        for same in (labels.tolist(), labels.astype(np.uint8)):
+            model = small_model()
+            dbn.greedy_train(model, images, same, 1)
+            assert model.fingerprint() == reference.fingerprint()
+            assert dbn.error_rate(model, images, same) == dbn.error_rate(reference, images, labels)
+
 
 class TestImageValidation:
     @pytest.mark.parametrize("pixel", [257, 256, 0.7])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from snra.array import RbmArray
+from snra.bits import ensure_bits
 from snra.device import SynapseGrid
 from snra.errors import ProtocolError
 from snra.fsm import CLOCK_PERIOD_S, CdFsm, State
@@ -32,6 +33,15 @@ def test_recorded_iteration_round_trips_through_vcd():
     assert steps_from_vcd(trace) == steps
     assert steps == iteration_steps(controller.v, controller.h,
                                     controller.v_bar, controller.h_bar)
+
+
+def test_wide_dump_is_byte_identical_to_per_bit_rendering(monkeypatch):
+    _, steps = recorded_iteration(n_visible=784, n_hidden=16, seed=9)
+    text = write_vcd(steps)
+    monkeypatch.setattr("snra.trace.bits_to_string", lambda bits: "".join(
+        str(int(b)) for b in ensure_bits(bits)[::-1]))
+    assert text == write_vcd(steps)
+    assert steps_from_vcd(parse_vcd(text)) == steps
 
 
 def test_timestamps_step_by_the_clock_period():
