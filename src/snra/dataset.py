@@ -6,10 +6,12 @@ the two-byte gzip signature, not the file name.
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import ensure_bits
 from .errors import (BadMagicError, CountMismatchError, DimensionError,
                      IdxFormatError, TruncatedFileError)
 
@@ -22,7 +24,8 @@ _READ_CHUNK = 1 << 20
 
 @dataclass
 class LabeledBitSet:
-    """Binarized images with class labels."""
+    """Binarized images with class labels, checked before any cast could
+    wrap or truncate them: pixels are integer 0/1, labels integer classes."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -30,15 +33,17 @@ class LabeledBitSet:
     source: str
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.uint8)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 2:
-            raise DimensionError(f"images must be 2-D, got shape {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
-            raise CountMismatchError(
-                f"{self.images.shape[0]} images but {self.labels.size} labels")
-        if self.images.size and self.images.max() > 1:
-            raise ValueError("images must be binarized to 0/1")
+        images = np.asarray(self.images)
+        if images.ndim != 2:
+            raise DimensionError(f"images must be 2-D, got shape {images.shape}")
+        self.images = ensure_bits(images.reshape(-1), name="image pixels").reshape(images.shape)
+        labels = np.asarray(self.labels)
+        # An empty list arrives as float64 and holds nothing to truncate.
+        if labels.size and labels.dtype.kind not in "iub":
+            raise ValueError(f"labels must hold integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(np.int64)
+        if self.labels.shape != (len(self),):
+            raise CountMismatchError(f"{len(self)} images but {self.labels.size} labels")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.n_classes):
             raise ValueError(f"labels must lie in [0, {self.n_classes - 1}]")
@@ -56,7 +61,13 @@ def _read_exact(stream, count, path, what):
     # single read(count) would allocate all of it before finding the end.
     data = bytearray()
     while len(data) < count:
-        chunk = stream.read(min(count - len(data), _READ_CHUNK))
+        try:
+            chunk = stream.read(min(count - len(data), _READ_CHUNK))
+        except EOFError:
+            # A gzip stream cut short: the data ends here.
+            break
+        except (zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"{path}: corrupt gzip data in {what}: {exc}") from None
         if not chunk:
             break
         data += chunk

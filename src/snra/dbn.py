@@ -20,6 +20,7 @@ import numpy as np
 
 from .array import RbmArray
 from .bits import ensure_bits
+from .dataset import LabeledBitSet
 from .device import PBit, SynapseGrid
 from .errors import DimensionError, ModelFormatError
 from .fsm import CLOCK_HZ, CLOCK_PERIOD_S, CdFsm, layer_sizes
@@ -57,8 +58,11 @@ class DbnModel:
                  input_scale=1.0, w_min=-1.0, w_max=1.0, use_biases=True,
                  init=MID_INIT):
         sizes = layer_sizes(topology)
-        if rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+        # The model file stores the seed as u64 and levels and delta_d as u16.
+        if not 0 <= rng_seed < 1 << 64:
+            raise ValueError(f"rng_seed must lie in [0, 2**64 - 1], got {rng_seed}")
+        if levels > 0xFFFF or delta_d > 0xFFFF:
+            raise ValueError("levels and delta_d must fit in 16 bits")
         if init not in (MID_INIT, UNIFORM_INIT):
             raise ValueError(f"init must be {MID_INIT!r} or {UNIFORM_INIT!r}")
         self.topology = sizes
@@ -124,31 +128,14 @@ class TrainingReport:
         return lines
 
 
-def _bit_images(model, images):
-    """Images as a uint8 (n, n_inputs) array, with every pixel checked to be
-    an integer 0 or 1 before the cast could wrap or truncate it."""
-    images = np.asarray(images)
-    if images.ndim != 2 or images.shape[1] != model.topology[0]:
-        raise DimensionError(
-            f"images must have shape (n, {model.topology[0]}), got {images.shape}")
-    return ensure_bits(images.reshape(-1), name="image pixels").reshape(images.shape)
-
-
 def _check_labeled_data(model, images, labels):
-    """Checked images plus labels as int64 class indices of the top layer,
-    one per image; used by both training and evaluation."""
-    images = _bit_images(model, images)
-    labels = np.asarray(labels)
-    # An empty list arrives as float64 and holds nothing to truncate.
-    if labels.size and labels.dtype.kind not in "iub":
-        raise ValueError(f"labels must hold integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64)
-    if labels.shape != (images.shape[0],):
+    """Checked images as wide as the bottom layer, and labels of the top
+    layer's classes; used by both training and evaluation."""
+    data = LabeledBitSet(images, labels, model.n_classes, "arrays")
+    if data.width != model.topology[0]:
         raise DimensionError(
-            f"{images.shape[0]} images but {labels.size} labels")
-    if labels.size and (labels.min() < 0 or labels.max() >= model.n_classes):
-        raise ValueError(f"labels must lie in [0, {model.n_classes - 1}]")
-    return images, labels
+            f"images must have shape (n, {model.topology[0]}), got {data.images.shape}")
+    return data.images, data.labels
 
 
 def greedy_train(model, images, labels, epochs):
@@ -220,8 +207,6 @@ def to_bytes(model):
     then per RBM layer the u16 state grid row-major, the u16 visible bias
     states, and the u16 hidden bias states.
     """
-    if model.levels > 0xFFFF or model.delta_d > 0xFFFF:
-        raise ModelFormatError("levels and delta_d must fit in 16 bits")
     sizes = model.topology
     flags = _FLAG_USE_BIASES if model.use_biases else 0
     out = [MAGIC,
@@ -302,8 +287,10 @@ def from_bytes(data):
 
 
 def save_model(model, path):
+    # Serialize first, so a model that cannot be written leaves the file alone.
+    data = to_bytes(model)
     with open(path, "wb") as handle:
-        handle.write(to_bytes(model))
+        handle.write(data)
 
 
 def load_model(path):

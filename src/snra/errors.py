@@ -26,7 +26,7 @@ class TruncatedFileError(IdxFormatError):
 
 
 class CountMismatchError(IdxFormatError):
-    """Image and label files disagree on the number of samples."""
+    """Images and labels disagree on their count, from files or from the Python API."""
 
 
 class ModelFormatError(SnraError, ValueError):

@@ -41,16 +41,14 @@ class State(IntEnum):
 
 
 def update_frame(v, h, v_bar, h_bar, column):
-    """Write frame for one Update clock, from the four sample registers."""
-    v = ensure_bits(v, name="v register")
-    h = ensure_bits(h, name="h register")
-    v_bar = ensure_bits(v_bar, v.size, "v_bar register")
-    h_bar = ensure_bits(h_bar, h.size, "h_bar register")
+    """Write frame for one Update clock, from the four sample registers.
+
+    Trusts the registers to be uint8 bit vectors of matching lengths, as
+    ``update_directions`` does; they are checked where they enter.
+    """
     if not 0 <= column < h.size:
         raise ProtocolError(f"column {column} outside [0, {h.size - 1}]")
-    bl = (v & h[column]).astype(np.uint8)
-    sl = (v_bar & h_bar[column]).astype(np.uint8)
-    return SignalFrame.write_frame(column, bl, sl, h.size)
+    return SignalFrame.write_frame(column, v & h[column], v_bar & h_bar[column], h.size)
 
 
 def update_directions(v, h, v_bar, h_bar):
@@ -87,19 +85,6 @@ class CdFsm:
         self._read_frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
         for rail in (self._read_frame.wwl, self._read_frame.bl, self._read_frame.sl):
             rail.flags.writeable = False
-
-    def load_registers(self, v, h, v_bar, h_bar):
-        """Force the sample registers and park the controller at Update.
-
-        Models a scan-chain load; the next n_hidden step calls then replay
-        the write phase for exactly these register values.
-        """
-        self.v[:] = ensure_bits(v, self.n_visible, "v register")
-        self.h[:] = ensure_bits(h, self.n_hidden, "h register")
-        self.v_bar[:] = ensure_bits(v_bar, self.n_visible, "v_bar register")
-        self.h_bar[:] = ensure_bits(h_bar, self.n_hidden, "h_bar register")
-        self.state = State.UPDATE
-        self.counter = 0
 
     def _check_array(self, array):
         if array.n_visible != self.n_visible or array.n_hidden != self.n_hidden:

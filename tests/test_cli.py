@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from test_dataset import write_idx_pair
+from test_dataset import damage_gzip, write_idx_pair
 
 from snra import cli, dbn
 
@@ -51,6 +51,59 @@ def test_train_on_an_oversized_idx_header_exits_1(capsys, tmp_path):
             "--labels", str(labels), "--out", str(tmp_path / "model.snra")]
     assert cli.main(argv) == 1
     assert f"expected {0x00FFFFFF * 784} bytes of pixel data, found 100" in capsys.readouterr().err
+
+
+def train_argv(tmp_path, *extra):
+    images, labels = write_idx_pair(tmp_path, np.eye(2, 784), [0, 1])
+    return ["train", "--topology", "784x2", "--images", str(images), "--labels", str(labels),
+            "--out", str(tmp_path / "model.snra"), *extra]
+
+
+@pytest.mark.parametrize("extra, seed_variable", [
+    (["--seed", str(2**64)], None),
+    ([], str(2**64)),
+    (["--levels", "99999999999999999999"], None),
+    (["--delta-d", "99999999999999999999"], None),
+    (["--delta-d", "70000"], None),
+])
+def test_unsavable_settings_exit_1_and_keep_the_old_model(
+        capsys, monkeypatch, tmp_path, extra, seed_variable):
+    if seed_variable is None:
+        monkeypatch.delenv("SNRA_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SNRA_SEED", seed_variable)
+    model_path = tmp_path / "model.snra"
+    dbn.save_model(dbn.DbnModel((784, 2)), model_path)
+    before = model_path.read_bytes()
+    assert run(train_argv(tmp_path, *extra), capsys)[0] == 1
+    assert model_path.read_bytes() == before
+
+
+def test_largest_seed_trains_and_round_trips(capsys, tmp_path):
+    assert run(train_argv(tmp_path, "--seed", str(2**64 - 1)), capsys)[0] == 0
+    assert dbn.load_model(tmp_path / "model.snra").rng_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_damaged_gzip_idx_exits_1(capsys, tmp_path, damage, command):
+    images, labels = write_idx_pair(tmp_path, np.eye(2, 784), [0, 1])
+    model_path = tmp_path / "model.snra"
+    if command == "train":
+        damage_gzip(images, damage)
+        argv = ["train", "--topology", "784x2", "--out", str(model_path)]
+    else:
+        damage_gzip(labels, damage)
+        dbn.save_model(dbn.DbnModel((784, 2)), model_path)
+        argv = ["eval", "--model", str(model_path)]
+    assert run(argv + ["--images", str(images), "--labels", str(labels)], capsys)[0] == 1
+
+
+def test_trace_register_of_the_wrong_width_exits_1(capsys):
+    argv = ["trace", "--visible", "3", "--hidden", "2", "--v", "01", "--h", "01",
+            "--vbar", "010", "--hbar", "01"]
+    assert cli.main(argv) == 1
+    assert "--v must supply exactly 3 bits" in capsys.readouterr().err
 
 
 ORACLE = ["oracle", "--visible", "2", "--hidden", "2", "--sweeps", "300"]

@@ -38,6 +38,17 @@ def write_idx_pair(tmp_path, pixels, labels, compress=False, image_magic=2051,
     return images_path, labels_path
 
 
+def damage_gzip(path, damage):
+    """Replace a plain IDX file by its gzip compression, then damage that."""
+    packed = gzip.compress(path.read_bytes())
+    if damage == "truncated":
+        packed = packed[:len(packed) // 2]
+    else:
+        # BTYPE 11 in the first deflate block header is reserved, so invalid.
+        packed = packed[:10] + bytes([packed[10] | 0x06]) + packed[11:]
+    path.write_bytes(packed)
+
+
 def two_sample_pixels():
     a = np.zeros(784, dtype=np.uint8)
     a[0] = 255
@@ -126,6 +137,16 @@ class TestLoadIdx:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    @pytest.mark.parametrize("damage, error, message", [
+        ("truncated", TruncatedFileError, "bytes of"),
+        ("corrupt", IdxFormatError, "corrupt gzip data")])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_damaged_gzip(self, tmp_path, damage, error, message, which):
+        paths = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2])
+        damage_gzip(paths[which], damage)
+        with pytest.raises(error, match=message):
+            load_idx(*paths)
+
     def test_truncated_header(self, tmp_path):
         images_path = tmp_path / "broken-idx3-ubyte"
         images_path.write_bytes(b"\x00\x00")
@@ -195,3 +216,20 @@ class TestLabeledBitSet:
             LabeledBitSet(np.full((1, 4), 9, dtype=np.uint8), np.array([0]), 10, "x")
         with pytest.raises(ValueError):
             LabeledBitSet(np.zeros((1, 4), dtype=np.uint8), np.array([10]), 10, "x")
+
+    @pytest.mark.parametrize("pixel", [0.7, 256])
+    def test_non_bit_pixels_rejected_before_the_cast(self, pixel):
+        images = np.zeros((2, 4))
+        images[1, 2] = pixel
+        with pytest.raises(ValueError):
+            LabeledBitSet(images, [0, 1], 2, "x")
+
+    def test_non_integer_labels_rejected_before_the_cast(self):
+        with pytest.raises(ValueError, match="labels must hold integers"):
+            LabeledBitSet(np.zeros((3, 4), dtype=np.uint8), [0.9, 1.7, 0.2], 2, "x")
+
+    def test_integer_bool_and_empty_inputs_accepted(self):
+        data = LabeledBitSet(np.eye(2, 4, dtype=bool), [1, 0], 2, "x")
+        assert data.images.dtype == np.uint8 and data.labels.dtype == np.int64
+        assert data.images.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+        assert len(LabeledBitSet(np.zeros((0, 4), dtype=np.uint8), [], 2, "x")) == 0

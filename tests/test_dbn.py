@@ -5,7 +5,7 @@ import pytest
 
 from snra import dbn
 from snra.dataset import synthetic_orthogonal
-from snra.errors import ModelFormatError
+from snra.errors import CountMismatchError, ModelFormatError
 
 
 def small_model(seed=3):
@@ -65,6 +65,22 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             dbn.from_bytes(header((2, 1), **config) + bytes(2 * (2 + 2 + 1)))
 
+    @pytest.mark.parametrize("config", [
+        {"rng_seed": 2**64}, {"levels": 0x10000}, {"delta_d": 0x10000},
+        {"levels": 10**20}, {"delta_d": 10**20}])
+    def test_unsavable_settings_rejected_before_any_grid(self, monkeypatch, config):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the settings were checked")
+
+        monkeypatch.setattr(dbn, "SynapseGrid", no_grid)
+        with pytest.raises(ValueError):
+            dbn.DbnModel((2, 1), **config)
+
+    def test_largest_seed_round_trips(self):
+        model = dbn.DbnModel((2, 1), rng_seed=2**64 - 1, levels=0xFFFF, delta_d=0xFFFF)
+        copy = dbn.from_bytes(dbn.to_bytes(model))
+        assert (copy.rng_seed, copy.levels, copy.delta_d) == (2**64 - 1, 0xFFFF, 0xFFFF)
+
     def test_payload_checked_before_allocation(self, monkeypatch):
         # A grid of 100000x100000 cells would need about 80 GB, so the
         # declared sizes must be rejected before any model is built.
@@ -113,6 +129,15 @@ class TestLabelValidation:
         model = small_model()
         with pytest.raises(ValueError, match="labels must hold integers"):
             run(model, np.zeros((3, 8), dtype=np.uint8), labels)
+        assert model.fingerprint() == small_model().fingerprint()
+
+    @pytest.mark.parametrize("run", [
+        lambda model, images, labels: dbn.greedy_train(model, images, labels, 1),
+        dbn.error_rate])
+    def test_count_mismatch(self, run):
+        model = small_model()
+        with pytest.raises(CountMismatchError, match="3 images but 2 labels"):
+            run(model, np.zeros((3, 8), dtype=np.uint8), [0, 1])
         assert model.fingerprint() == small_model().fingerprint()
 
     def test_integer_label_types_train_alike(self):

@@ -19,6 +19,12 @@ def make_array(n_v, n_h, use_biases=True, seed=None):
     return RbmArray(grid, use_biases=use_biases)
 
 
+def park_at_update(fsm, v, h, v_bar, h_bar):
+    """Set the four sample registers and park the controller at its first Update clock."""
+    fsm.v[:], fsm.h[:], fsm.v_bar[:], fsm.h_bar[:] = v, h, v_bar, h_bar
+    fsm.state = State.UPDATE
+
+
 def step_iteration(fsm, crossbar, input_bits, rng, clamp_hidden=None):
     """One iteration driven clock by clock; returns the frame of every clock."""
     frames = [fsm.step(crossbar, input_bits, rng, clamp_hidden)]
@@ -84,7 +90,7 @@ class TestIteration:
 
     def test_iteration_needs_start_state(self):
         trainer = CdFsm(2, 2)
-        trainer.load_registers([1, 0], [0, 1], [1, 0], [0, 1])
+        park_at_update(trainer, [1, 0], [0, 1], [1, 0], [0, 1])
         with pytest.raises(ProtocolError):
             trainer.run_cd_iteration(make_array(2, 2), [1, 0], np.random.default_rng(0))
 
@@ -93,7 +99,7 @@ class TestIteration:
         crossbar = make_array(4, 2, use_biases=False, seed=3)
         before = crossbar.grid.fingerprint()
         fsm = CdFsm(4, 2)
-        fsm.load_registers([1, 0, 1, 0], [1, 1], [1, 0, 1, 0], [1, 1])
+        park_at_update(fsm, [1, 0, 1, 0], [1, 1], [1, 0, 1, 0], [1, 1])
         for _ in range(2):
             frame = fsm.step(crossbar)
             assert frame.bl.tolist() == frame.sl.tolist()
@@ -111,8 +117,8 @@ class TestIteration:
 
     def test_bl_sl_registers_hold_last_write(self):
         fsm = CdFsm(4, 2)
-        fsm.load_registers(bits_from_string("0101"), bits_from_string("01"),
-                           bits_from_string("0100"), bits_from_string("10"))
+        park_at_update(fsm, bits_from_string("0101"), bits_from_string("01"),
+                       bits_from_string("0100"), bits_from_string("10"))
         crossbar = make_array(4, 2)
         fsm.step(crossbar)
         assert fsm.bl_reg.tolist() == [1, 0, 1, 0]
@@ -198,7 +204,7 @@ class TestBiasTraining:
         crossbar = make_array(4, 2, use_biases=True)
         grid = crossbar.grid
         fsm = CdFsm(4, 2)
-        fsm.load_registers([1, 0, 1, 0], [1, 0], [0, 0, 1, 1], [0, 1])
+        park_at_update(fsm, [1, 0, 1, 0], [1, 0], [0, 0, 1, 1], [0, 1])
         vb = grid.visible_bias_states.copy()
         hb = grid.hidden_bias_states.copy()
         fsm.step(crossbar)
@@ -211,7 +217,7 @@ class TestBiasTraining:
     def test_biases_untouched_when_disabled(self):
         crossbar = make_array(4, 2, use_biases=False)
         fsm = CdFsm(4, 2)
-        fsm.load_registers([1, 0, 1, 0], [1, 0], [0, 0, 1, 1], [0, 1])
+        park_at_update(fsm, [1, 0, 1, 0], [1, 0], [0, 0, 1, 1], [0, 1])
         before = crossbar.grid.visible_bias_states.copy()
         fsm.step(crossbar)
         fsm.step(crossbar)

@@ -4,7 +4,7 @@ import pytest
 from snra.array import RbmArray
 from snra.bits import ensure_bits
 from snra.device import SynapseGrid
-from snra.errors import ProtocolError
+from snra.errors import DimensionError, ProtocolError
 from snra.fsm import CLOCK_PERIOD_S, CdFsm, State
 from snra.trace import (TraceStep, iteration_steps, parse_vcd, steps_from_vcd,
                         write_vcd)
@@ -57,6 +57,18 @@ def test_dump_ends_on_an_idle_read_clock():
     _, idle = parse_vcd(write_vcd(steps)).snapshots[-1]
     assert {name: idle[name] for name in ("STATE", "RWL", "WWL", "BL", "SL", "COUNTER")} == {
         "STATE": "00", "RWL": "1", "WWL": "000", "BL": "zzzzz", "SL": "zzzzz", "COUNTER": "00"}
+
+
+@pytest.mark.parametrize("registers, error", [
+    (([1, 2, 0], [1, 0], [0, 0, 1], [0, 1]), ValueError),
+    (([1, 0, 0], [0.5, 0], [0, 0, 1], [0, 1]), ValueError),
+    (([1, 0, 0], [1, 0], [[0, 0, 1]], [0, 1]), DimensionError),
+    (([1, 0, 0], [1, 0], [0, 0], [0, 1]), DimensionError),
+    (([1, 0, 0], [1, 0], [0, 0, 1], [0, 1, 1]), DimensionError),
+])
+def test_iteration_steps_checks_its_registers(registers, error):
+    with pytest.raises(error):
+        iteration_steps(*registers)
 
 
 def test_empty_trace_rejected():
