@@ -1,7 +1,8 @@
 """Crossbar RBM array: read-phase sampling and write-phase pulse application.
 
-Signal frames follow the word-line / bit-line protocol: a Read frame keeps
-the read word line high with the write rails parked, a Write frame selects
+Signal frames follow the word-line / bit-line protocol, and the read word
+line says which clock a frame is: with ``rwl`` 1 it is a Read frame, whose
+write rails stay parked; with ``rwl`` 0 it is a Write frame, which selects
 exactly one hidden column and encodes the pulse direction per visible row
 as (bl, sl) = (1, 0) for increase and (0, 1) for decrease.
 """
@@ -14,54 +15,50 @@ from .bits import ensure_bits
 from .device import PBit
 from .errors import DimensionError, ProtocolError
 
-READ = "read"
-WRITE = "write"
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SignalFrame:
-    """One clock's worth of array control signals."""
+    """One clock's worth of array control signals, checked once when built.
 
-    phase: str
+    The frame is frozen and its rails are read-only views, so nothing
+    written through a frame can make it invalid."""
+
     rwl: int
     wwl: np.ndarray
     bl: np.ndarray
     sl: np.ndarray
 
     def __post_init__(self):
-        if self.phase not in (READ, WRITE):
-            raise ProtocolError(f"phase must be {READ!r} or {WRITE!r}, got {self.phase!r}")
-        self.wwl = ensure_bits(self.wwl, name="wwl")
-        self.bl = ensure_bits(self.bl, name="bl")
-        self.sl = ensure_bits(self.sl, name="sl")
-        if self.bl.size != self.sl.size:
+        wwl = ensure_bits(self.wwl, name="wwl")
+        bl = ensure_bits(self.bl, name="bl")
+        sl = ensure_bits(self.sl, name="sl")
+        if bl.size != sl.size:
             raise DimensionError("bl and sl must have equal length")
-        self.validate()
-
-    def validate(self):
-        if self.phase == READ:
-            if self.rwl != 1:
-                raise ProtocolError("read frame requires rwl high")
-            if self.wwl.any():
+        if self.rwl == 1:
+            if wwl.any():
                 raise ProtocolError("read frame requires all wwl low")
-            if self.bl.any() or self.sl.any():
+            if bl.any() or sl.any():
                 raise ProtocolError("read frame keeps bl/sl released")
-        else:
-            if self.rwl != 0:
-                raise ProtocolError("write frame requires rwl low")
-            if int(self.wwl.sum()) != 1:
+        elif self.rwl == 0:
+            if int(wwl.sum()) != 1:
                 raise ProtocolError("write frame requires exactly one wwl bit set")
+        else:
+            raise ProtocolError(f"rwl must be 1 (read) or 0 (write), got {self.rwl!r}")
+        for name, rail in (("wwl", wwl), ("bl", bl), ("sl", sl)):
+            rail = rail.view()
+            rail.flags.writeable = False
+            object.__setattr__(self, name, rail)
 
     @property
     def column(self):
         """Selected hidden column of a write frame."""
-        if self.phase != WRITE:
+        if self.rwl:
             raise ProtocolError("read frames select no column")
         return int(np.flatnonzero(self.wwl)[0])
 
     @classmethod
     def read_frame(cls, n_visible, n_hidden):
-        return cls(READ, 1, np.zeros(n_hidden, dtype=np.uint8),
+        return cls(1, np.zeros(n_hidden, dtype=np.uint8),
                    np.zeros(n_visible, dtype=np.uint8),
                    np.zeros(n_visible, dtype=np.uint8))
 
@@ -71,12 +68,12 @@ class SignalFrame:
         if not 0 <= column < n_hidden:
             raise ProtocolError(f"column {column} outside [0, {n_hidden - 1}]")
         wwl[column] = 1
-        return cls(WRITE, 0, wwl, bl, sl)
+        return cls(0, wwl, bl, sl)
 
     def __eq__(self, other):
         if not isinstance(other, SignalFrame):
             return NotImplemented
-        return (self.phase == other.phase and self.rwl == other.rwl
+        return (self.rwl == other.rwl
                 and np.array_equal(self.wwl, other.wwl)
                 and np.array_equal(self.bl, other.bl)
                 and np.array_equal(self.sl, other.sl))
@@ -128,7 +125,7 @@ class RbmArray:
 
     def apply_frame(self, frame):
         """Apply one signal frame to the grid.  Read frames change nothing."""
-        if frame.phase == READ:
+        if frame.rwl:
             return
         if frame.wwl.size != self.n_hidden:
             raise DimensionError(
@@ -136,7 +133,6 @@ class RbmArray:
         if frame.bl.size != self.n_visible:
             raise DimensionError(
                 f"frame bl/sl width {frame.bl.size} does not match {self.n_visible} rows")
-        frame.validate()
         # (1,0) increases, (0,1) decreases, (0,0) and (1,1) drive no net current.
         direction = frame.bl.astype(np.int64) - frame.sl.astype(np.int64)
         self.grid.pulse_column(frame.column, direction)

@@ -30,7 +30,6 @@ class LabeledBitSet:
     images: np.ndarray
     labels: np.ndarray
     n_classes: int
-    source: str
 
     def __post_init__(self):
         images = np.asarray(self.images)
@@ -43,7 +42,7 @@ class LabeledBitSet:
             raise ValueError(f"labels must hold integers, got dtype {labels.dtype}")
         self.labels = labels.astype(np.int64)
         if self.labels.shape != (len(self),):
-            raise CountMismatchError(f"{len(self)} images but {self.labels.size} labels")
+            raise DimensionError(f"{len(self)} images but {self.labels.size} labels")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.n_classes):
             raise ValueError(f"labels must lie in [0, {self.n_classes - 1}]")
@@ -56,24 +55,32 @@ class LabeledBitSet:
         return self.images.shape[1]
 
 
-def _read_exact(stream, count, path, what):
+def _read_exact(stream, count, path, what, last=False):
+    """Read ``count`` bytes of ``what``; if it is the ``last`` part of the
+    file, read once more to check that nothing follows.  On a gzip stream
+    that read runs the CRC and length check of the trailer."""
     # Read in bounded chunks: the count comes from the file's header, and a
     # single read(count) would allocate all of it before finding the end.
+    wanted = count + 1 if last else count
     data = bytearray()
-    while len(data) < count:
+    while len(data) < wanted:
         try:
-            chunk = stream.read(min(count - len(data), _READ_CHUNK))
+            chunk = stream.read(min(wanted - len(data), _READ_CHUNK))
         except EOFError:
-            # A gzip stream cut short: the data ends here.
-            break
+            # A gzip stream cut short, in the data or in its trailer.
+            raise TruncatedFileError(
+                f"{path}: gzip stream ends before {count} bytes of {what} "
+                "and its trailer") from None
         except (zlib.error, gzip.BadGzipFile) as exc:
             raise IdxFormatError(f"{path}: corrupt gzip data in {what}: {exc}") from None
         if not chunk:
             break
         data += chunk
-    if len(data) != count:
+    if len(data) < count:
         raise TruncatedFileError(
             f"{path}: expected {count} bytes of {what}, found {len(data)}")
+    if len(data) > count:
+        raise IdxFormatError(f"{path}: trailing data after {count} bytes of {what}")
     return data
 
 
@@ -94,7 +101,7 @@ def _load_images(path):
         if rows != IMAGE_SIDE or cols != IMAGE_SIDE:
             raise DimensionError(
                 f"{path}: images are {rows}x{cols}, expected {IMAGE_SIDE}x{IMAGE_SIDE}")
-        payload = _read_exact(stream, count * rows * cols, path, "pixel data")
+        payload = _read_exact(stream, count * rows * cols, path, "pixel data", last=True)
     pixels = np.frombuffer(payload, dtype=np.uint8)
     return pixels.reshape(count, rows * cols)
 
@@ -105,7 +112,7 @@ def _load_labels(path):
         magic, count = struct.unpack(">II", header)
         if magic != LABEL_MAGIC:
             raise BadMagicError(f"{path}: label magic {magic}, expected {LABEL_MAGIC}")
-        payload = _read_exact(stream, count, path, "label data")
+        payload = _read_exact(stream, count, path, "label data", last=True)
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
@@ -128,7 +135,7 @@ def load_idx(images_path, labels_path, limit=None):
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"{labels_path}: labels exceed class range 0..9")
     bits = (images > DEFAULT_THRESHOLD).astype(np.uint8)
-    return LabeledBitSet(bits, labels, 10, f"idx:{images_path}")
+    return LabeledBitSet(bits, labels, 10)
 
 
 def synthetic_orthogonal(width, classes, samples_per_class, noise_flip_prob=0.0,
@@ -154,5 +161,4 @@ def synthetic_orthogonal(width, classes, samples_per_class, noise_flip_prob=0.0,
     if noise_flip_prob > 0.0:
         flips = rng.random(images.shape) < noise_flip_prob
         images = np.where(flips, 1 - images, images).astype(np.uint8)
-    return LabeledBitSet(images, labels, classes,
-                         f"synthetic:{width}x{classes}")
+    return LabeledBitSet(images, labels, classes)

@@ -131,7 +131,7 @@ class TrainingReport:
 def _check_labeled_data(model, images, labels):
     """Checked images as wide as the bottom layer, and labels of the top
     layer's classes; used by both training and evaluation."""
-    data = LabeledBitSet(images, labels, model.n_classes, "arrays")
+    data = LabeledBitSet(images, labels, model.n_classes)
     if data.width != model.topology[0]:
         raise DimensionError(
             f"images must have shape (n, {model.topology[0]}), got {data.images.shape}")

@@ -26,7 +26,7 @@ class TruncatedFileError(IdxFormatError):
 
 
 class CountMismatchError(IdxFormatError):
-    """Images and labels disagree on their count, from files or from the Python API."""
+    """An image file and a label file disagree on their count (arrays raise DimensionError)."""
 
 
 class ModelFormatError(SnraError, ValueError):

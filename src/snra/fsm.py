@@ -12,7 +12,9 @@ steps the three read clocks and fuses the n_hidden Update clocks into one
 whole-grid write: the column writes touch disjoint columns and draw no
 random numbers, so together they are the CD-1 rule
 clip(states + delta_d * (v h^T - v_bar h_bar^T)) and leave the device,
-registers and clock count exactly as the clocked model does.
+sample registers and clock count exactly as the clocked model does.  The
+controller keeps no rail registers: the frame ``step`` returns is the one
+record of the rails driven on a clock.
 
 Every controller is a training controller; inference reads the array
 directly (see ``dbn.predict``).  Layer stacks are validated here, in
@@ -43,11 +45,10 @@ class State(IntEnum):
 def update_frame(v, h, v_bar, h_bar, column):
     """Write frame for one Update clock, from the four sample registers.
 
-    Trusts the registers to be uint8 bit vectors of matching lengths, as
-    ``update_directions`` does; they are checked where they enter.
+    Trusts the registers to be uint8 bit vectors of matching lengths, and
+    the column to index them, as ``update_directions`` does; they are
+    checked where they enter.
     """
-    if not 0 <= column < h.size:
-        raise ProtocolError(f"column {column} outside [0, {h.size - 1}]")
     return SignalFrame.write_frame(column, v & h[column], v_bar & h_bar[column], h.size)
 
 
@@ -76,15 +77,10 @@ class CdFsm:
         self.clock_count = 0
         self.v = np.zeros(self.n_visible, dtype=np.uint8)
         self.v_bar = np.zeros(self.n_visible, dtype=np.uint8)
-        self.bl_reg = np.zeros(self.n_visible, dtype=np.uint8)
-        self.sl_reg = np.zeros(self.n_visible, dtype=np.uint8)
         self.h = np.zeros(self.n_hidden, dtype=np.uint8)
         self.h_bar = np.zeros(self.n_hidden, dtype=np.uint8)
-        # Every read clock drives this one frame; its rails are read-only
-        # because every caller of ``step`` shares it.
+        # Every read clock drives this one frame, which no caller can change.
         self._read_frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
-        for rail in (self._read_frame.wwl, self._read_frame.bl, self._read_frame.sl):
-            rail.flags.writeable = False
 
     def _check_array(self, array):
         if array.n_visible != self.n_visible or array.n_hidden != self.n_hidden:
@@ -116,8 +112,6 @@ class CdFsm:
         else:
             column = self.counter
             frame = update_frame(self.v, self.h, self.v_bar, self.h_bar, column)
-            self.bl_reg[:] = frame.bl
-            self.sl_reg[:] = frame.sl
             array.apply_frame(frame)
             if column == 0:
                 self._pulse_biases(array)
@@ -151,9 +145,6 @@ class CdFsm:
         self.step(array, rng=rng)
         array.grid.pulse_all(update_directions(self.v, self.h, self.v_bar, self.h_bar))
         self._pulse_biases(array)
-        # bl/sl registers hold the last column's write, as the clocked model leaves them.
-        np.bitwise_and(self.v, self.h[-1], out=self.bl_reg)
-        np.bitwise_and(self.v_bar, self.h_bar[-1], out=self.sl_reg)
         self.state = State.FEED_FORWARD
         self.clock_count += self.n_hidden
         return self.n_hidden + 3

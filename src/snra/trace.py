@@ -13,7 +13,7 @@ the rightmost character; released bit and source lines are dumped as 'z'.
 
 from dataclasses import dataclass
 
-from .array import READ, WRITE, SignalFrame
+from .array import SignalFrame
 from .bits import bits_from_string, bits_to_string, ensure_bits
 from .errors import ProtocolError
 from .fsm import CLOCK_PERIOD_S, State, update_frame
@@ -70,7 +70,7 @@ def _counter_width(n_hidden):
 
 def _step_values(step, n_visible, n_hidden, clk):
     frame = step.frame
-    released = frame.phase == READ
+    released = frame.rwl == 1
     return {
         "CLK": clk,
         "STATE": format(int(step.state), "02b"),
@@ -205,7 +205,7 @@ def steps_from_vcd(trace):
         if values["RWL"] == "1":
             frame = SignalFrame.read_frame(n_visible, n_hidden)
         else:
-            frame = SignalFrame(WRITE, 0, bits_from_string(values["WWL"]),
+            frame = SignalFrame(0, bits_from_string(values["WWL"]),
                                 bits_from_string(values["BL"]),
                                 bits_from_string(values["SL"]))
         steps.append(TraceStep(frame, state, counter))

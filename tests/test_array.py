@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snra.array import READ, WRITE, RbmArray, SignalFrame
+from snra.array import RbmArray, SignalFrame
 from snra.device import PBit, SynapseGrid
 from snra.errors import DimensionError, ProtocolError
 
@@ -16,36 +16,38 @@ def zero_weight_array(n_v, n_h, levels=3):
 class TestSignalFrame:
     def test_read_frame_shape(self):
         frame = SignalFrame.read_frame(4, 2)
-        assert frame.phase == READ and frame.rwl == 1
+        assert frame.rwl == 1
         assert not frame.wwl.any() and not frame.bl.any() and not frame.sl.any()
 
     def test_write_frame_selects_one_column(self):
         frame = SignalFrame.write_frame(1, [1, 0, 0, 0], [0, 0, 1, 0], 3)
-        assert frame.phase == WRITE and frame.rwl == 0
+        assert frame.rwl == 0
         assert frame.wwl.tolist() == [0, 1, 0]
         assert frame.column == 1
 
     def test_write_frame_wwl_must_be_one_hot(self):
         with pytest.raises(ProtocolError):
-            SignalFrame(WRITE, 0, [0, 0], [1, 0], [0, 0])
+            SignalFrame(0, [0, 0], [1, 0], [0, 0])
         with pytest.raises(ProtocolError):
-            SignalFrame(WRITE, 0, [1, 1], [1, 0], [0, 0])
+            SignalFrame(0, [1, 1], [1, 0], [0, 0])
 
     def test_rwl_polarity_enforced(self):
+        # rwl high reads, so the one-hot wwl of a write is out of protocol;
+        # rwl low writes, so a frame with no wwl bit set is too.
         with pytest.raises(ProtocolError):
-            SignalFrame(READ, 0, [0, 0], [0, 0], [0, 0])
+            SignalFrame(1, [1, 0], [0, 0], [0, 0])
         with pytest.raises(ProtocolError):
-            SignalFrame(WRITE, 1, [1, 0], [0, 0], [0, 0])
+            SignalFrame(0, [0, 0], [0, 0], [0, 0])
 
     def test_read_frame_keeps_rails_released(self):
         with pytest.raises(ProtocolError):
-            SignalFrame(READ, 1, [0, 0], [1, 0], [0, 0])
+            SignalFrame(1, [0, 0], [1, 0], [0, 0])
 
     def test_bad_phase_and_lengths(self):
-        with pytest.raises(ProtocolError):
-            SignalFrame("hold", 1, [0], [0], [0])
+        with pytest.raises(ProtocolError, match="rwl must be 1"):
+            SignalFrame(2, [0], [0], [0])
         with pytest.raises(DimensionError):
-            SignalFrame(WRITE, 0, [1], [0, 0], [0])
+            SignalFrame(0, [1], [0, 0], [0])
         with pytest.raises(ProtocolError):
             SignalFrame.write_frame(3, [0], [0], 2)
 
@@ -54,6 +56,20 @@ class TestSignalFrame:
         b = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
         c = SignalFrame.write_frame(1, [1, 0], [0, 1], 2)
         assert a == b and a != c
+
+    def test_built_frame_cannot_change(self):
+        frame = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
+        for rail in (frame.wwl, frame.bl, frame.sl):
+            with pytest.raises(ValueError):
+                rail[0] ^= 1
+        with pytest.raises(AttributeError):
+            frame.rwl = 1
+
+    def test_caller_array_stays_writable(self):
+        bl = np.array([1, 0], dtype=np.uint8)
+        frame = SignalFrame.write_frame(1, bl, np.zeros(2, dtype=np.uint8), 2)
+        assert bl.flags.writeable and not frame.bl.flags.writeable
+        bl[0] = 0
 
 
 class TestSampling:

@@ -99,6 +99,16 @@ def test_damaged_gzip_idx_exits_1(capsys, tmp_path, damage, command):
     assert run(argv + ["--images", str(images), "--labels", str(labels)], capsys)[0] == 1
 
 
+def test_train_on_a_crc_corrupt_gzip_exits_1(capsys, tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.eye(2, 784), [0, 1])
+    damage_gzip(images, "crc")
+    argv = ["train", "--topology", "784x2", "--out", str(tmp_path / "model.snra"),
+            "--images", str(images), "--labels", str(labels)]
+    assert cli.main(argv) == 1
+    assert "CRC check failed" in capsys.readouterr().err
+    assert not (tmp_path / "model.snra").exists()
+
+
 def test_trace_register_of_the_wrong_width_exits_1(capsys):
     argv = ["trace", "--visible", "3", "--hidden", "2", "--v", "01", "--h", "01",
             "--vbar", "010", "--hbar", "01"]

@@ -40,10 +40,18 @@ def write_idx_pair(tmp_path, pixels, labels, compress=False, image_magic=2051,
 
 def damage_gzip(path, damage):
     """Replace a plain IDX file by its gzip compression, then damage that."""
-    packed = gzip.compress(path.read_bytes())
+    if damage == "crc":
+        # Level 0 stores the file in one block that ends just before the
+        # 8-byte trailer, so flipping its last byte breaks only the CRC.
+        packed = bytearray(gzip.compress(path.read_bytes(), compresslevel=0))
+        packed[-9] ^= 0xFF
+    else:
+        packed = gzip.compress(path.read_bytes())
     if damage == "truncated":
         packed = packed[:len(packed) // 2]
-    else:
+    elif damage == "cut trailer":
+        packed = packed[:-4]
+    elif damage == "corrupt":
         # BTYPE 11 in the first deflate block header is reserved, so invalid.
         packed = packed[:10] + bytes([packed[10] | 0x06]) + packed[11:]
     path.write_bytes(packed)
@@ -139,12 +147,24 @@ class TestLoadIdx:
 
     @pytest.mark.parametrize("damage, error, message", [
         ("truncated", TruncatedFileError, "bytes of"),
-        ("corrupt", IdxFormatError, "corrupt gzip data")])
+        ("corrupt", IdxFormatError, "corrupt gzip data"),
+        ("crc", IdxFormatError, "CRC check failed"),
+        ("cut trailer", TruncatedFileError, "trailer")])
     @pytest.mark.parametrize("which", [0, 1])
     def test_damaged_gzip(self, tmp_path, damage, error, message, which):
         paths = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2])
         damage_gzip(paths[which], damage)
         with pytest.raises(error, match=message):
+            load_idx(*paths)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_trailing_data(self, tmp_path, compress, which):
+        paths = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2])
+        path = paths[which]
+        padded = path.read_bytes() + b"\0"
+        path.write_bytes(gzip.compress(padded) if compress else padded)
+        with pytest.raises(IdxFormatError, match="trailing data"):
             load_idx(*paths)
 
     def test_truncated_header(self, tmp_path):
@@ -208,28 +228,30 @@ class TestSyntheticOrthogonal:
 
 class TestLabeledBitSet:
     def test_length_mismatch(self):
-        with pytest.raises(CountMismatchError):
-            LabeledBitSet(np.zeros((2, 4), dtype=np.uint8), np.array([1]), 10, "x")
+        # Arrays come from no file, so the error is not an IdxFormatError.
+        with pytest.raises(DimensionError) as caught:
+            LabeledBitSet(np.zeros((2, 4), dtype=np.uint8), np.array([1]), 10)
+        assert not isinstance(caught.value, IdxFormatError)
 
     def test_value_checks(self):
         with pytest.raises(ValueError):
-            LabeledBitSet(np.full((1, 4), 9, dtype=np.uint8), np.array([0]), 10, "x")
+            LabeledBitSet(np.full((1, 4), 9, dtype=np.uint8), np.array([0]), 10)
         with pytest.raises(ValueError):
-            LabeledBitSet(np.zeros((1, 4), dtype=np.uint8), np.array([10]), 10, "x")
+            LabeledBitSet(np.zeros((1, 4), dtype=np.uint8), np.array([10]), 10)
 
     @pytest.mark.parametrize("pixel", [0.7, 256])
     def test_non_bit_pixels_rejected_before_the_cast(self, pixel):
         images = np.zeros((2, 4))
         images[1, 2] = pixel
         with pytest.raises(ValueError):
-            LabeledBitSet(images, [0, 1], 2, "x")
+            LabeledBitSet(images, [0, 1], 2)
 
     def test_non_integer_labels_rejected_before_the_cast(self):
         with pytest.raises(ValueError, match="labels must hold integers"):
-            LabeledBitSet(np.zeros((3, 4), dtype=np.uint8), [0.9, 1.7, 0.2], 2, "x")
+            LabeledBitSet(np.zeros((3, 4), dtype=np.uint8), [0.9, 1.7, 0.2], 2)
 
     def test_integer_bool_and_empty_inputs_accepted(self):
-        data = LabeledBitSet(np.eye(2, 4, dtype=bool), [1, 0], 2, "x")
+        data = LabeledBitSet(np.eye(2, 4, dtype=bool), [1, 0], 2)
         assert data.images.dtype == np.uint8 and data.labels.dtype == np.int64
         assert data.images.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
-        assert len(LabeledBitSet(np.zeros((0, 4), dtype=np.uint8), [], 2, "x")) == 0
+        assert len(LabeledBitSet(np.zeros((0, 4), dtype=np.uint8), [], 2)) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from snra import dbn
 from snra.dataset import synthetic_orthogonal
-from snra.errors import CountMismatchError, ModelFormatError
+from snra.errors import DimensionError, IdxFormatError, ModelFormatError
 
 
 def small_model(seed=3):
@@ -136,8 +136,9 @@ class TestLabelValidation:
         dbn.error_rate])
     def test_count_mismatch(self, run):
         model = small_model()
-        with pytest.raises(CountMismatchError, match="3 images but 2 labels"):
+        with pytest.raises(DimensionError, match="3 images but 2 labels") as caught:
             run(model, np.zeros((3, 8), dtype=np.uint8), [0, 1])
+        assert not isinstance(caught.value, IdxFormatError)
         assert model.fingerprint() == small_model().fingerprint()
 
     def test_integer_label_types_train_alike(self):

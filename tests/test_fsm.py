@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snra.array import READ, WRITE, RbmArray
+from snra.array import RbmArray
 from snra.bits import bits_from_string
 from snra.device import SynapseGrid
 from snra.errors import DimensionError, ProtocolError
@@ -71,7 +71,7 @@ class TestIteration:
         fsm = CdFsm(4, 3)
         frames = step_iteration(fsm, make_array(4, 3), [1, 0, 1, 1], np.random.default_rng(1))
         assert len(frames) == fsm.clock_count == 6
-        assert [f.phase for f in frames] == [READ] * 3 + [WRITE] * 3
+        assert [f.rwl for f in frames] == [1] * 3 + [0] * 3
         # the read clocks share one frame, which no caller can change
         assert frames[0] is frames[1] is frames[2]
         with pytest.raises(ValueError):
@@ -120,12 +120,12 @@ class TestIteration:
         park_at_update(fsm, bits_from_string("0101"), bits_from_string("01"),
                        bits_from_string("0100"), bits_from_string("10"))
         crossbar = make_array(4, 2)
-        fsm.step(crossbar)
-        assert fsm.bl_reg.tolist() == [1, 0, 1, 0]
-        assert fsm.sl_reg.tolist() == [0, 0, 0, 0]
-        fsm.step(crossbar)
-        assert fsm.bl_reg.tolist() == [0, 0, 0, 0]
-        assert fsm.sl_reg.tolist() == [0, 0, 1, 0]
+        frame = fsm.step(crossbar)
+        assert frame.bl.tolist() == [1, 0, 1, 0]
+        assert frame.sl.tolist() == [0, 0, 0, 0]
+        frame = fsm.step(crossbar)
+        assert frame.bl.tolist() == [0, 0, 0, 0]
+        assert frame.sl.tolist() == [0, 0, 1, 0]
 
     def test_clamped_hidden_register(self):
         fsm = CdFsm(3, 4)
@@ -167,7 +167,7 @@ class TestFusedIteration:
             assert fused_array.grid.fingerprint() == clocked_array.grid.fingerprint()
             assert fused_array.grid.pulse_count == clocked_array.grid.pulse_count
             assert fused.clock_count == clocked.clock_count
-            for name in ("v", "h", "v_bar", "h_bar", "bl_reg", "sl_reg"):
+            for name in ("v", "h", "v_bar", "h_bar"):
                 assert getattr(fused, name).tolist() == getattr(clocked, name).tolist(), name
             assert fused.state is clocked.state is State.FEED_FORWARD
             assert fused.counter == clocked.counter == 0

@@ -71,6 +71,16 @@ def test_iteration_steps_checks_its_registers(registers, error):
         iteration_steps(*registers)
 
 
+def test_dump_with_two_wwl_bits_set_is_rejected():
+    text = write_vcd(iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1]))
+    code = next(var.code for var in parse_vcd(text).variables if var.name == "WWL")
+    # The first Update clock selects column 0; select column 1 as well.
+    assert f"b001 {code}\n" in text
+    damaged = text.replace(f"b001 {code}\n", f"b011 {code}\n", 1)
+    with pytest.raises(ProtocolError):
+        steps_from_vcd(parse_vcd(damaged))
+
+
 def test_empty_trace_rejected():
     with pytest.raises(ProtocolError):
         write_vcd([])
