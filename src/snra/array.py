@@ -4,7 +4,9 @@ Signal frames follow the word-line / bit-line protocol, and the read word
 line says which clock a frame is: with ``rwl`` 1 it is a Read frame, whose
 write rails stay parked; with ``rwl`` 0 it is a Write frame, which selects
 exactly one hidden column and encodes the pulse direction per visible row
-as (bl, sl) = (1, 0) for increase and (0, 1) for decrease.
+as (bl, sl) = (1, 0) for increase, (0, 1) for decrease, and (0, 0) or
+(1, 1) for none.  ``fsm.update_rails`` drives the rails by the CD rule,
+and ``rail_directions`` is their one decode.
 """
 
 from dataclasses import dataclass
@@ -16,12 +18,17 @@ from .device import PBit
 from .errors import DimensionError, ProtocolError
 
 
+def rail_directions(bl, sl):
+    """int8 pulse directions bl - sl of uint8 rails; SynapseGrid checks them."""
+    return bl.view(np.int8) - sl.view(np.int8)
+
+
 @dataclass(frozen=True, eq=False)
 class SignalFrame:
     """One clock's worth of array control signals, checked once when built.
 
-    The frame is frozen and its rails are read-only views, so nothing
-    written through a frame can make it invalid."""
+    The frame is frozen and its rails are read-only copies, so nothing
+    written through a frame, or to the caller's arrays, can make it invalid."""
 
     rwl: int
     wwl: np.ndarray
@@ -45,7 +52,7 @@ class SignalFrame:
         else:
             raise ProtocolError(f"rwl must be 1 (read) or 0 (write), got {self.rwl!r}")
         for name, rail in (("wwl", wwl), ("bl", bl), ("sl", sl)):
-            rail = rail.view()
+            rail = rail.copy()
             rail.flags.writeable = False
             object.__setattr__(self, name, rail)
 
@@ -130,9 +137,4 @@ class RbmArray:
         if frame.wwl.size != self.n_hidden:
             raise DimensionError(
                 f"frame wwl width {frame.wwl.size} does not match {self.n_hidden} columns")
-        if frame.bl.size != self.n_visible:
-            raise DimensionError(
-                f"frame bl/sl width {frame.bl.size} does not match {self.n_visible} rows")
-        # (1,0) increases, (0,1) decreases, (0,0) and (1,1) drive no net current.
-        direction = frame.bl.astype(np.int64) - frame.sl.astype(np.int64)
-        self.grid.pulse_column(frame.column, direction)
+        self.grid.pulse_column(frame.column, rail_directions(frame.bl, frame.sl))

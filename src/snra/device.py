@@ -13,6 +13,14 @@ from scipy.special import expit
 from .errors import DimensionError
 
 
+def _integers(values, name):
+    """``values`` as an array, rejected before any cast could truncate it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iub":
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr
+
+
 class PBit:
     """Stochastic binary neuron: P(out = 1) = sigmoid(input_scale * net)."""
 
@@ -77,12 +85,12 @@ class SynapseGrid:
     def _init_states(self, given, shape, fill):
         if given is None:
             return np.full(shape, fill, dtype=np.int64)
-        arr = np.asarray(given, dtype=np.int64)
+        arr = _integers(given, "state indices").astype(np.int64)
         if arr.shape != shape:
             raise DimensionError(f"state array must have shape {shape}, got {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
             raise ValueError(f"state indices must lie in [0, {self.levels - 1}]")
-        return arr.copy()
+        return arr
 
     @classmethod
     def uniform_random(cls, n_visible, n_hidden, rng, **kwargs):
@@ -100,11 +108,6 @@ class SynapseGrid:
     def weight_step(self):
         """Weight change produced by moving one state index."""
         return (self.w_max - self.w_min) / (self.levels - 1)
-
-    @property
-    def eta(self):
-        """Effective learning rate: weight change per programming pulse."""
-        return self.weight_step * self.delta_d
 
     def weight(self, state_index):
         """Map a state index (or array of them) onto the weight grid."""
@@ -148,9 +151,10 @@ class SynapseGrid:
     def _pulse(self, states, directions):
         """Move a view of state indices in place; saturates, never wraps.
 
-        Every nonzero direction counts as a pulse, even one that moves nothing.
+        The one check of directions, and their one widening to int64.  Every
+        nonzero direction counts as a pulse, even one that moves nothing.
         """
-        direction = np.asarray(directions, dtype=np.int64)
+        direction = _integers(directions, "directions")
         if direction.shape != states.shape:
             raise DimensionError(
                 f"directions must have shape {states.shape}, got {direction.shape}")
@@ -158,7 +162,7 @@ class SynapseGrid:
             raise ValueError("directions must be -1, 0, or 1")
         # Drop the cached float weights before the write allocates its temporary.
         self._touch()
-        states += direction * self.delta_d
+        states += direction.astype(np.int64) * self.delta_d
         np.clip(states, 0, self.levels - 1, out=states)
         self.pulse_count += int(np.count_nonzero(direction))
 

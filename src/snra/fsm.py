@@ -4,7 +4,8 @@ One training iteration walks FeedForward, FeedBack, Reconstruct, then
 n_hidden Update clocks, so it completes in n_hidden + 3 clocks.  Each
 Update clock writes a single hidden column: bl_i = v_i AND h_j and
 sl_i = v_bar_i AND h_bar_j realize the positive and negative phases of
-the weight-change rule with per-column AND gates.
+the weight-change rule with per-column AND gates.  ``update_rails`` is
+that rule and ``array.rail_directions`` the decode of its rails.
 
 ``step`` is the clocked model, one clock and one signal frame per call,
 behind waveforms and traces.  Training runs ``run_cd_iteration``, which
@@ -25,7 +26,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .array import SignalFrame
+from .array import SignalFrame, rail_directions
 from .bits import ensure_bits
 from .errors import DimensionError, ProtocolError
 
@@ -42,26 +43,20 @@ class State(IntEnum):
     UPDATE = 0b11
 
 
+def update_rails(v, h, v_bar, h_bar):
+    """The CD write rule: bl = v AND h and sl = v_bar AND h_bar.
+
+    Whole registers give every Update clock's rails, clock j in column j;
+    h[j] and h_bar[j] give clock j's rails alone.  Trusts the registers to
+    be uint8 bit vectors; they are checked where they enter.
+    """
+    return np.multiply.outer(v, h), np.multiply.outer(v_bar, h_bar)
+
+
 def update_frame(v, h, v_bar, h_bar, column):
-    """Write frame for one Update clock, from the four sample registers.
-
-    Trusts the registers to be uint8 bit vectors of matching lengths, and
-    the column to index them, as ``update_directions`` does; they are
-    checked where they enter.
-    """
-    return SignalFrame.write_frame(column, v & h[column], v_bar & h_bar[column], h.size)
-
-
-def update_directions(v, h, v_bar, h_bar):
-    """Pulse directions of all n_hidden Update clocks, one column per clock.
-
-    Column j is bl - sl of ``update_frame`` for column j.  Trusts the four
-    registers to be uint8 bit vectors.
-    """
-    # Bit products and their difference fit int8; widen once at the end.
-    direction = np.multiply.outer(v, h).view(np.int8)
-    direction -= np.multiply.outer(v_bar, h_bar).view(np.int8)
-    return direction.astype(np.int64)
+    """Write frame of Update clock ``column``, which is trusted to index h."""
+    bl, sl = update_rails(v, h[column], v_bar, h_bar[column])
+    return SignalFrame.write_frame(column, bl, sl, h.size)
 
 
 class CdFsm:
@@ -123,11 +118,11 @@ class CdFsm:
         return frame
 
     def _pulse_biases(self, array):
-        # Bias drivers fire once per iteration, in parallel with the first
-        # column write, so the clock count is unchanged.
+        # Bias pulses (rails bl = v, sl = v_bar) fire once per iteration, in
+        # parallel with the first column write, so the clock count is unchanged.
         if array.use_biases:
-            array.grid.pulse_visible_bias(self.v.astype(np.int64) - self.v_bar)
-            array.grid.pulse_hidden_bias(self.h.astype(np.int64) - self.h_bar)
+            array.grid.pulse_visible_bias(rail_directions(self.v, self.v_bar))
+            array.grid.pulse_hidden_bias(rail_directions(self.h, self.h_bar))
 
     def run_cd_iteration(self, array, input_bits, rng, clamp_hidden=None):
         """One full training iteration with the Update clocks fused; returns its clocks.
@@ -143,7 +138,7 @@ class CdFsm:
         self.step(array, input_bits, rng, clamp_hidden)
         self.step(array, rng=rng)
         self.step(array, rng=rng)
-        array.grid.pulse_all(update_directions(self.v, self.h, self.v_bar, self.h_bar))
+        array.grid.pulse_all(rail_directions(*update_rails(self.v, self.h, self.v_bar, self.h_bar)))
         self._pulse_biases(array)
         self.state = State.FEED_FORWARD
         self.clock_count += self.n_hidden

@@ -71,6 +71,18 @@ class TestSignalFrame:
         assert bl.flags.writeable and not frame.bl.flags.writeable
         bl[0] = 0
 
+    def test_caller_edit_does_not_reach_a_built_frame(self):
+        bl = np.array([1, 0], dtype=np.uint8)
+        frame = SignalFrame.write_frame(1, bl, np.zeros(2, dtype=np.uint8), 2)
+        bl[0] = 0
+        assert frame.bl.tolist() == [1, 0]
+        # A read frame cannot gain a driven rail after its one check.
+        rails = [np.zeros(2, dtype=np.uint8) for _ in range(3)]
+        frame = SignalFrame(1, *rails)
+        for rail in rails:
+            rail[0] = 1
+        assert not (frame.wwl.any() or frame.bl.any() or frame.sl.any())
+
 
 class TestSampling:
     def test_output_shapes_and_values(self):

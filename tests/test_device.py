@@ -117,10 +117,6 @@ class TestSynapseGrid:
         assert (grid.visible_bias_states == 15).all()
         assert (grid.hidden_bias_states == 15).all()
 
-    def test_eta_scales_with_delta_d(self):
-        grid = SynapseGrid(2, 2, levels=32, delta_d=3)
-        assert grid.eta == pytest.approx(3 * 2.0 / 31)
-
     def test_apply_pulse_single_step(self):
         grid = SynapseGrid(2, 2)
         grid.states[0, 1] = 5
@@ -179,6 +175,17 @@ class TestSynapseGrid:
             grid.pulse_visible_bias([1, 0, 0])
         with pytest.raises(DimensionError):
             grid.pulse_hidden_bias([1, 0])
+        # Fractions are rejected, not truncated to a direction.
+        before = grid.fingerprint()
+        with pytest.raises(ValueError, match="directions must hold integers"):
+            grid.pulse_column(0, [0.6, -0.4])
+        with pytest.raises(ValueError, match="directions must hold integers"):
+            grid.pulse_all(np.full((2, 3), 1.0))
+        with pytest.raises(ValueError, match="directions must hold integers"):
+            grid.pulse_visible_bias([1.0, 0.0])
+        with pytest.raises(ValueError, match="directions must hold integers"):
+            grid.pulse_hidden_bias([0.9, 0, -1])
+        assert grid.fingerprint() == before
         assert grid.pulse_count == 0
 
     def test_pulse_column(self):
@@ -245,8 +252,21 @@ class TestSynapseGrid:
             SynapseGrid(2, 2, delta_d=0)
         with pytest.raises(ValueError):
             SynapseGrid(2, 2, levels=4, states=[[9, 0], [0, 0]])
+        # Fractions are rejected, not truncated to a state index.
+        with pytest.raises(ValueError, match="state indices must hold integers"):
+            SynapseGrid(2, 2, levels=4, states=[[0.7, 1.9], [2.5, 3.2]])
+        with pytest.raises(ValueError, match="state indices must hold integers"):
+            SynapseGrid(2, 2, levels=4, visible_bias_states=[0.5, 1.0])
+        with pytest.raises(ValueError, match="state indices must hold integers"):
+            SynapseGrid(2, 2, levels=4, hidden_bias_states=np.array([1.0, 2.0]))
 
     def test_load_states_validation(self):
         grid = SynapseGrid(2, 2, levels=4)
         with pytest.raises(ValueError):
             grid.load_states([[4, 0], [0, 0]], [0, 0], [0, 0])
+        before = grid.fingerprint()
+        with pytest.raises(ValueError, match="state indices must hold integers"):
+            grid.load_states([[0.7, 1.9], [2.5, 3.2]], [0, 0], [0, 0])
+        assert grid.fingerprint() == before
+        with pytest.raises(ValueError, match="state indices must hold integers"):
+            grid.load_states([[0, 1], [2, 3]], [0, 0], [0.5, 1.0])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from snra.array import RbmArray
+from snra.array import RbmArray, rail_directions
 from snra.bits import bits_from_string
 from snra.device import SynapseGrid
 from snra.errors import DimensionError, ProtocolError
-from snra.fsm import (CLOCK_PERIOD_S, CdFsm, State, train_clock_budget, update_directions,
-                      update_frame)
+from snra.fsm import (CLOCK_PERIOD_S, CdFsm, State, train_clock_budget, update_frame,
+                      update_rails)
 from snra.oracle import cd_delta
 from snra.trace import iteration_steps, parse_vcd, write_vcd
 
@@ -177,9 +177,13 @@ class TestFusedIteration:
         rng = np.random.default_rng(14)
         v, v_bar = rng.integers(0, 2, (2, 6)).astype(np.uint8)
         h, h_bar = rng.integers(0, 2, (2, 5)).astype(np.uint8)
-        direction = update_directions(v, h, v_bar, h_bar)
+        bl, sl = update_rails(v, h, v_bar, h_bar)
+        direction = rail_directions(bl, sl)
+        assert direction.dtype == np.int8
         for column in range(5):
             frame = update_frame(v, h, v_bar, h_bar, column)
+            assert bl[:, column].tolist() == frame.bl.tolist()
+            assert sl[:, column].tolist() == frame.sl.tolist()
             expected = frame.bl.astype(np.int64) - frame.sl
             assert direction[:, column].tolist() == expected.tolist()
 
@@ -194,7 +198,8 @@ class TestFusedIteration:
         fsm = CdFsm(n_v, n_h)
         before = grid.states.copy()
         fsm.run_cd_iteration(crossbar, rng.integers(0, 2, n_v), rng)
-        expected = cd_delta(fsm.v, fsm.h, fsm.v_bar, fsm.h_bar, grid.eta)
+        expected = cd_delta(fsm.v, fsm.h, fsm.v_bar, fsm.h_bar,
+                            grid.weight_step * grid.delta_d)
         assert expected.any()
         np.testing.assert_array_equal((grid.states - before) * grid.weight_step, expected)
 
