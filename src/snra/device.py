@@ -3,6 +3,11 @@
 The neuron fires with sigmoid probability of its net input.  Synapses hold
 a discrete state index on a uniform weight grid; programming pulses move
 the index up or down and saturate at the grid ends.
+
+The float weights are built once, on their first read, and each write then
+refreshes only the cells it addressed with the same elementwise map, so the
+cached weights always equal a full rebuild bit for bit.  Readers get
+read-only arrays: the device states are the one way to change a weight.
 """
 
 import hashlib
@@ -18,6 +23,17 @@ def _integers(values, name):
     arr = np.asarray(values)
     if arr.dtype.kind not in "iub":
         raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr
+
+
+def _line_indices(values, count, name):
+    """Strictly increasing indices into ``count`` lines, so none is negative,
+    out of range or repeated."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" or arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of integer indices")
+    if arr.size and (arr[0] < 0 or arr[-1] >= count or (arr[1:] <= arr[:-1]).any()):
+        raise IndexError(f"{name} must be strictly increasing indices in [0, {count - 1}]")
     return arr
 
 
@@ -53,7 +69,8 @@ class SynapseGrid:
     Each cell stores an integer state index d in [0, levels - 1] that maps
     linearly onto [w_min, w_max].  A programming pulse moves the index by
     delta_d in the commanded direction and clips at the ends; it never
-    wraps around.
+    wraps around.  The float weights follow the pulse methods and
+    ``load_states`` only, so the state arrays are changed through them.
     """
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
@@ -85,7 +102,8 @@ class SynapseGrid:
     def _init_states(self, given, shape, fill):
         if given is None:
             return np.full(shape, fill, dtype=np.int64)
-        arr = _integers(given, "state indices").astype(np.int64)
+        # Row-major, so that pulse_block's flat reshape is a view, not a copy.
+        arr = _integers(given, "state indices").astype(np.int64, order="C")
         if arr.shape != shape:
             raise DimensionError(f"state array must have shape {shape}, got {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
@@ -113,67 +131,100 @@ class SynapseGrid:
         """Map a state index (or array of them) onto the weight grid."""
         return self.w_min + np.asarray(state_index, dtype=np.float64) * self.weight_step
 
+    def _build(self, name, states):
+        """Cache the read-only float weights of ``states`` on their first read."""
+        cached = self.weight(states).view()
+        cached.flags.writeable = False
+        self._cache[name] = cached
+
     def weights(self):
-        """Current weight matrix, shape (n_visible, n_hidden)."""
+        """Current weight matrix, shape (n_visible, n_hidden).
+
+        A read-only live view: later writes show through it, so a caller
+        that keeps the weights across a write copies them.
+        """
         if "w" not in self._cache:
-            self._cache["w"] = self.weight(self.states)
+            self._build("w", self.states)
         return self._cache["w"]
 
     def visible_bias(self):
         if "vb" not in self._cache:
-            self._cache["vb"] = self.weight(self.visible_bias_states)
+            self._build("vb", self.visible_bias_states)
         return self._cache["vb"]
 
     def hidden_bias(self):
         if "hb" not in self._cache:
-            self._cache["hb"] = self.weight(self.hidden_bias_states)
+            self._build("hb", self.hidden_bias_states)
         return self._cache["hb"]
-
-    def _touch(self):
-        self._cache.clear()
 
     def pulse_column(self, column, directions):
         """Pulse every cell of one column; directions in {-1, 0, 1} per row."""
         if not 0 <= column < self.n_hidden:
             raise IndexError(f"column {column} outside grid")
-        self._pulse(self.states[:, column], directions)
+        self._pulse("w", self.states, (slice(None), column), directions)
 
-    def pulse_all(self, directions):
-        """Pulse every cell at once; directions in {-1, 0, 1}, one per cell."""
-        self._pulse(self.states, directions)
+    def pulse_block(self, rows, cols, directions):
+        """Pulse the cells where ``rows`` cross ``cols`` at once.
+
+        ``rows`` and ``cols`` are strictly increasing line indices, and
+        ``directions`` holds one direction in {-1, 0, 1} per crossing,
+        shape (rows.size, cols.size).  Cells outside the block are untouched.
+        """
+        rows = _line_indices(rows, self.n_visible, "rows")
+        cols = _line_indices(cols, self.n_hidden, "cols")
+        # The block's flat positions in the row-major states: a 1-D gather
+        # and scatter costs about half of a 2-D np.ix_ one.
+        positions = np.add.outer(rows * self.n_hidden, cols)
+        self._pulse("w", self.states.reshape(-1), positions, directions)
 
     def pulse_visible_bias(self, directions):
-        self._pulse(self.visible_bias_states, directions)
+        self._pulse("vb", self.visible_bias_states, ..., directions)
 
     def pulse_hidden_bias(self, directions):
-        self._pulse(self.hidden_bias_states, directions)
+        self._pulse("hb", self.hidden_bias_states, ..., directions)
 
-    def _pulse(self, states, directions):
-        """Move a view of state indices in place; saturates, never wraps.
+    def _pulse(self, name, states, index, directions):
+        """Move the state indices ``states[index]``; saturates, never wraps.
 
-        The one check of directions, and their one widening to int64.  Every
+        The one check of directions, their one widening to int64, and the
+        one refresh of the cached float weights ``name``: the written cells
+        are mapped again with ``weight``, the same elementwise map as the
+        first build, so the cache equals a full rebuild bit for bit.  Every
         nonzero direction counts as a pulse, even one that moves nothing.
         """
+        cells = states[index]
         direction = _integers(directions, "directions")
-        if direction.shape != states.shape:
+        if direction.shape != cells.shape:
             raise DimensionError(
-                f"directions must have shape {states.shape}, got {direction.shape}")
+                f"directions must have shape {cells.shape}, got {direction.shape}")
         if direction.size and (direction.min() < -1 or direction.max() > 1):
             raise ValueError("directions must be -1, 0, or 1")
-        # Drop the cached float weights before the write allocates its temporary.
-        self._touch()
-        states += direction.astype(np.int64) * self.delta_d
-        np.clip(states, 0, self.levels - 1, out=states)
+        cells += np.multiply(direction, self.delta_d, dtype=np.int64)
+        # np.minimum and np.maximum clip as np.clip does, without its
+        # per-call argument handling, which dominates a small write.
+        np.minimum(cells, self.levels - 1, out=cells)
+        np.maximum(cells, 0, out=cells)
+        # A fancy index reads a copy, which has to be written back.
+        states[index] = cells
         self.pulse_count += int(np.count_nonzero(direction))
+        cached = self._cache.get(name)
+        if cached is not None:
+            # ``index`` addresses ``states``, which may be the flat view of
+            # pulse_block, so the cache is indexed in the same shape.
+            cached.base.reshape(states.shape)[index] = self.weight(cells)
 
     def load_states(self, states, visible_bias_states, hidden_bias_states):
-        """Overwrite every state index at once, with full range validation."""
-        self.states = self._init_states(states, (self.n_visible, self.n_hidden), 0)
-        self.visible_bias_states = self._init_states(
-            visible_bias_states, (self.n_visible,), 0)
-        self.hidden_bias_states = self._init_states(
-            hidden_bias_states, (self.n_hidden,), 0)
-        self._touch()
+        """Overwrite every state index at once, with full range validation.
+
+        All three arrays are checked before any is assigned, so a rejected
+        load leaves the device and its float weights as they were; a load
+        that succeeds has the float weights rebuilt on their next read.
+        """
+        loaded = (self._init_states(states, (self.n_visible, self.n_hidden), 0),
+                  self._init_states(visible_bias_states, (self.n_visible,), 0),
+                  self._init_states(hidden_bias_states, (self.n_hidden,), 0))
+        self.states, self.visible_bias_states, self.hidden_bias_states = loaded
+        self._cache = {}
 
     def fingerprint(self):
         """Digest of the full device state, for change detection in tests."""

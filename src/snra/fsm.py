@@ -10,10 +10,13 @@ that rule and ``array.rail_directions`` the decode of its rails.
 ``step`` is the clocked model, one clock and one signal frame per call,
 behind waveforms and traces.  Training runs ``run_cd_iteration``, which
 steps the three read clocks and fuses the n_hidden Update clocks into one
-whole-grid write: the column writes touch disjoint columns and draw no
-random numbers, so together they are the CD-1 rule
-clip(states + delta_d * (v h^T - v_bar h_bar^T)) and leave the device,
-sample registers and clock count exactly as the clocked model does.  The
+write of the active block: the column writes touch disjoint columns and
+draw no random numbers, so together they are the CD-1 rule
+clip(states + delta_d * (v h^T - v_bar h_bar^T)).  A cell can move only
+where its row has v or v_bar set and its column has h or h_bar set; every
+other cell sees both rails low.  So the fused write drives only the rows
+and columns that are set, and leaves the device, pulse count, sample
+registers and clock count exactly as the clocked model does.  The
 controller keeps no rail registers: the frame ``step`` returns is the one
 record of the rails driven on a clock.
 
@@ -47,6 +50,7 @@ def update_rails(v, h, v_bar, h_bar):
     """The CD write rule: bl = v AND h and sl = v_bar AND h_bar.
 
     Whole registers give every Update clock's rails, clock j in column j;
+    registers taken at some rows and columns give the rails of that block;
     h[j] and h_bar[j] give clock j's rails alone.  Trusts the registers to
     be uint8 bit vectors; they are checked where they enter.
     """
@@ -128,8 +132,9 @@ class CdFsm:
         """One full training iteration with the Update clocks fused; returns its clocks.
 
         The three read clocks go through ``step``, so random draws keep
-        their order.  The n_hidden Update clocks become one whole-grid
-        write plus the bias pulses; device state, pulse count, registers,
+        their order.  The n_hidden Update clocks become one write of the
+        block where rows with v or v_bar set cross columns with h or h_bar
+        set, plus the bias pulses; device state, pulse count, registers,
         state, counter and clock count end exactly as after n_hidden + 3
         ``step`` calls.
         """
@@ -138,7 +143,10 @@ class CdFsm:
         self.step(array, input_bits, rng, clamp_hidden)
         self.step(array, rng=rng)
         self.step(array, rng=rng)
-        array.grid.pulse_all(rail_directions(*update_rails(self.v, self.h, self.v_bar, self.h_bar)))
+        rows = np.flatnonzero(self.v | self.v_bar)
+        cols = np.flatnonzero(self.h | self.h_bar)
+        bl, sl = update_rails(self.v[rows], self.h[cols], self.v_bar[rows], self.h_bar[cols])
+        array.grid.pulse_block(rows, cols, rail_directions(bl, sl))
         self._pulse_biases(array)
         self.state = State.FEED_FORWARD
         self.clock_count += self.n_hidden

@@ -40,8 +40,13 @@ class DenseRbm:
 
     @classmethod
     def from_grid(cls, grid):
-        """Snapshot a quantized synapse grid into real-valued parameters."""
-        return cls(grid.weights(), grid.visible_bias(), grid.hidden_bias())
+        """Snapshot a quantized synapse grid into real-valued parameters.
+
+        The grid refreshes its float weights in place on every write, so the
+        snapshot copies them.
+        """
+        return cls(grid.weights().copy(), grid.visible_bias().copy(),
+                   grid.hidden_bias().copy())
 
 
 def energy(rbm, v, h):

@@ -6,6 +6,7 @@ import pytest
 from snra import dbn
 from snra.dataset import synthetic_orthogonal
 from snra.errors import DimensionError, IdxFormatError, ModelFormatError
+from snra.fsm import train_clock_budget
 
 
 def small_model(seed=3):
@@ -109,6 +110,26 @@ class TestDerivedStreams:
         image = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         assert ([dbn.predict(model, image, k) for k in range(10)]
                 == [dbn.predict(model, image, k) for k in range(10)])
+
+
+class TestLargestTopology:
+    def test_784x800x800x10_trains_and_round_trips(self):
+        # The paper's largest DBN; each layer pays its n_hidden + 3 clocks
+        # per sample, and the trained device state survives serialization.
+        topology = (784, 800, 800, 10)
+        rng = np.random.default_rng(9)
+        images = rng.integers(0, 2, (3, 784))
+        labels = np.arange(3)
+        model = dbn.DbnModel(topology, rng_seed=4)
+        untrained = model.fingerprint()
+        report = dbn.greedy_train(model, images, labels, epochs=2)
+        assert [layer.shape for layer in report.layers] == list(zip(topology, topology[1:]))
+        for layer in report.layers:
+            assert layer.clocks == train_clock_budget(layer.shape, 3, 2)[0]
+            assert layer.pulses > 0
+        assert report.total_clocks == train_clock_budget(topology, 3, 2)[0]
+        assert model.fingerprint() != untrained
+        assert dbn.from_bytes(dbn.to_bytes(model)).fingerprint() == model.fingerprint()
 
 
 class TestLabelValidation:

@@ -180,13 +180,40 @@ class TestSynapseGrid:
         with pytest.raises(ValueError, match="directions must hold integers"):
             grid.pulse_column(0, [0.6, -0.4])
         with pytest.raises(ValueError, match="directions must hold integers"):
-            grid.pulse_all(np.full((2, 3), 1.0))
+            grid.pulse_block([0, 1], [0, 1, 2], np.full((2, 3), 1.0))
+        with pytest.raises(ValueError):
+            grid.pulse_block([0, 1], [0, 2], [[0, 2], [0, 0]])
+        with pytest.raises(DimensionError):
+            grid.pulse_block([0, 1], [0, 2], np.ones((2, 3), dtype=np.int8))
         with pytest.raises(ValueError, match="directions must hold integers"):
             grid.pulse_visible_bias([1.0, 0.0])
         with pytest.raises(ValueError, match="directions must hold integers"):
             grid.pulse_hidden_bias([0.9, 0, -1])
         assert grid.fingerprint() == before
         assert grid.pulse_count == 0
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 2], [0]), ([-1], [0]), ([1, 0], [0]), ([1, 1], [0]),
+        ([0], [3]), ([0], [-3]), ([0], [2, 2]), ([0.0], [0]), ([True], [0]),
+        ([[0]], [0])])
+    def test_pulse_block_rejects_bad_lines(self, rows, cols):
+        grid = SynapseGrid(2, 3)
+        before = grid.fingerprint()
+        with pytest.raises((IndexError, ValueError)):
+            grid.pulse_block(rows, cols, np.ones((len(rows), len(cols)), dtype=np.int8))
+        assert grid.fingerprint() == before
+        assert grid.pulse_count == 0
+
+    def test_pulse_block_writes_only_its_block(self):
+        # Column-major initial states still take the write in place.
+        grid = SynapseGrid(3, 4, levels=8, states=np.asfortranarray(np.full((3, 4), 3)))
+        grid.weights()
+        grid.pulse_block([0, 2], [1, 3], [[1, -1], [0, 1]])
+        assert grid.states.tolist() == [[3, 4, 3, 2], [3, 3, 3, 3], [3, 3, 3, 4]]
+        assert grid.pulse_count == 3
+        assert grid.weights().tolist() == grid.weight(grid.states).tolist()
+        grid.pulse_block(np.array([], dtype=np.int64), [0, 1], np.zeros((0, 2), dtype=np.int8))
+        assert grid.pulse_count == 3
 
     def test_pulse_column(self):
         grid = SynapseGrid(3, 2, levels=8)
@@ -220,6 +247,31 @@ class TestSynapseGrid:
         assert grid.visible_bias()[0] == -1.0
         grid.pulse_hidden_bias([0, 1])
         assert grid.hidden_bias()[1] == 1.0
+
+    @pytest.mark.parametrize("delta_d", [1, 2, 5])
+    def test_cached_weights_equal_a_full_rebuild(self, delta_d):
+        rng = np.random.default_rng(delta_d)
+        grid = SynapseGrid.uniform_random(6, 5, rng, levels=4, delta_d=delta_d,
+                                          w_min=-0.3, w_max=0.7)
+        for _ in range(40):
+            grid.weights(), grid.visible_bias(), grid.hidden_bias()
+            rows = np.flatnonzero(rng.integers(0, 2, 6))
+            cols = np.flatnonzero(rng.integers(0, 2, 5))
+            grid.pulse_block(rows, cols, rng.integers(-1, 2, (rows.size, cols.size)))
+            grid.pulse_column(int(rng.integers(5)), rng.integers(-1, 2, 6))
+            grid.pulse_visible_bias(rng.integers(-1, 2, 6))
+            grid.pulse_hidden_bias(rng.integers(-1, 2, 5))
+            for cached, states in ((grid.weights(), grid.states),
+                                   (grid.visible_bias(), grid.visible_bias_states),
+                                   (grid.hidden_bias(), grid.hidden_bias_states)):
+                assert cached.view(np.int64).tolist() == grid.weight(states).view(np.int64).tolist()
+
+    def test_float_weights_are_read_only(self):
+        grid = SynapseGrid(2, 2)
+        for read in (grid.weights, grid.visible_bias, grid.hidden_bias):
+            with pytest.raises(ValueError, match="read-only"):
+                read()[0] = 0.5
+        assert grid.weights().tolist() == grid.weight(grid.states).tolist()
 
     def test_bias_pulses(self):
         grid = SynapseGrid(2, 3, levels=8)
@@ -270,3 +322,22 @@ class TestSynapseGrid:
         assert grid.fingerprint() == before
         with pytest.raises(ValueError, match="state indices must hold integers"):
             grid.load_states([[0, 1], [2, 3]], [0, 0], [0.5, 1.0])
+
+    def test_rejected_load_changes_nothing(self):
+        grid = SynapseGrid(2, 2, levels=4)
+        weights = grid.weights().copy()
+        before = grid.fingerprint()
+        with pytest.raises(ValueError):
+            grid.load_states([[0, 1], [2, 3]], [0, 0], [9, 0])
+        with pytest.raises(DimensionError):
+            grid.load_states([[0, 1], [2, 3]], [0, 0, 0], [0, 0])
+        assert grid.fingerprint() == before
+        assert grid.weights().tolist() == weights.tolist()
+
+    def test_load_refreshes_the_float_weights(self):
+        grid = SynapseGrid(2, 2, levels=3)
+        grid.weights(), grid.visible_bias(), grid.hidden_bias()
+        grid.load_states([[0, 1], [2, 0]], [2, 2], [0, 1])
+        assert grid.weights().tolist() == [[-1.0, 0.0], [1.0, -1.0]]
+        assert grid.visible_bias().tolist() == [1.0, 1.0]
+        assert grid.hidden_bias().tolist() == [-1.0, 0.0]

@@ -173,6 +173,36 @@ class TestFusedIteration:
             assert fused.counter == clocked.counter == 0
         assert fused_rng.random() == clocked_rng.random()
 
+    @pytest.mark.parametrize("delta_d", [1, 2, 5])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_block_write_equals_the_whole_grid_rule(self, delta_d, levels):
+        # Sparse inputs and clamps leave rows with v = v_bar = 0 and columns
+        # with h = h_bar = 0, which the block write skips; small levels with
+        # large steps make writes saturate.
+        n_v, n_h = 24, 10
+        crossbar, fsm, rng = self.twin(n_v, n_h, levels, delta_d, True)
+        grid = crossbar.grid
+        inputs = np.random.default_rng(16)
+        expected = grid.states.copy()
+        vb, hb = grid.visible_bias_states.copy(), grid.hidden_bias_states.copy()
+        pulses = skipped_rows = skipped_cols = 0
+        for _ in range(60):
+            bits = (inputs.random(n_v) < 0.2).astype(np.uint8)
+            fsm.run_cd_iteration(crossbar, bits, rng, (inputs.random(n_h) < 0.2).astype(np.uint8))
+            skipped_rows += int(not (fsm.v | fsm.v_bar).all())
+            skipped_cols += int(not (fsm.h | fsm.h_bar).all())
+            direction = rail_directions(*update_rails(fsm.v, fsm.h, fsm.v_bar, fsm.h_bar))
+            bias = (rail_directions(fsm.v, fsm.v_bar), rail_directions(fsm.h, fsm.h_bar))
+            for states, step in ((expected, direction), (vb, bias[0]), (hb, bias[1])):
+                np.clip(states + delta_d * step.astype(np.int64), 0, levels - 1, out=states)
+                pulses += int(np.count_nonzero(step))
+            np.testing.assert_array_equal(grid.states, expected)
+            np.testing.assert_array_equal(grid.visible_bias_states, vb)
+            np.testing.assert_array_equal(grid.hidden_bias_states, hb)
+            assert grid.pulse_count == pulses
+            assert (grid.weights().view(np.int64) == grid.weight(grid.states).view(np.int64)).all()
+        assert skipped_rows and skipped_cols
+
     def test_direction_columns_are_update_frames(self):
         rng = np.random.default_rng(14)
         v, v_bar = rng.integers(0, 2, (2, 6)).astype(np.uint8)

@@ -156,6 +156,18 @@ class TestGibbsChain:
         assert tv_distance(counts / counts.sum(), exact) < 0.08
 
 
+def test_grid_snapshot_ignores_later_writes():
+    grid = SynapseGrid(2, 3, levels=4)
+    rbm = DenseRbm.from_grid(grid)
+    grid.pulse_column(1, [1, -1])
+    grid.pulse_visible_bias([1, 1])
+    grid.pulse_hidden_bias([-1, 0, 1])
+    fresh = SynapseGrid(2, 3, levels=4)
+    assert rbm.weights.tolist() == fresh.weights().tolist()
+    assert rbm.visible_bias.tolist() == fresh.visible_bias().tolist()
+    assert rbm.hidden_bias.tolist() == fresh.hidden_bias().tolist()
+
+
 def test_joint_index_layout():
     assert joint_index([0, 0, 0], [0, 0], 3) == 0
     assert joint_index([1, 0, 1], [0, 1], 3) == 5 + (2 << 3)
