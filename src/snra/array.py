@@ -103,7 +103,13 @@ class RbmArray:
         return self.grid.n_hidden
 
     def _net_hidden(self, v):
-        v = ensure_bits(v, self.n_visible, "visible vector")
+        """Hidden nets of a visible vector, or of each row of a block of them:
+        one product with the weights either way."""
+        v = np.asarray(v)
+        if v.ndim == 2 and v.shape[1] == self.n_visible:
+            v = ensure_bits(v.reshape(-1), name="visible rows").reshape(v.shape)
+        else:
+            v = ensure_bits(v, self.n_visible, "visible vector")
         net = v.astype(np.float64) @ self.grid.weights()
         if self.use_biases:
             net = net + self.grid.hidden_bias()
@@ -117,7 +123,8 @@ class RbmArray:
         return net
 
     def forward(self, v, rng):
-        """Sample the hidden layer given a visible vector; n_hidden draws."""
+        """Sample the hidden layer given a visible vector, or given each row
+        of a block; n_hidden draws per row, through ``PBit.sample_net``."""
         # Nets built from bounded device weights are finite by construction,
         # so the neuron's validation pass is skipped.
         return self.neuron.sample_net(self._net_hidden(v), rng)
@@ -127,7 +134,8 @@ class RbmArray:
         return self.neuron.sample_net(self._net_visible(h), rng)
 
     def probabilities_forward(self, v):
-        """Per-hidden-unit firing probabilities, no sampling."""
+        """Per-hidden-unit firing probabilities of a visible vector, or of
+        each row of a block; no sampling."""
         return self.neuron.probability(self._net_hidden(v))
 
     def apply_frame(self, frame):

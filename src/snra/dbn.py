@@ -8,9 +8,17 @@ clock; reconstruction and update clocks run unchanged.  Inter-layer
 transfer uses sampled binary states, matching what the hardware links
 actually carry.
 
+Evaluation and layer transfer read the samples in blocks of rows: each
+layer's nets for a whole block come from one product with its weights, so
+the weights are read once per block, not once per sample.  ``predict`` is
+the one-row case of the same read.
+
 Random streams are derived from the model seed plus a purpose tag and an
 index, so training, layer transfer, and per-sample evaluation draw from
-disjoint reproducible streams regardless of call order.
+disjoint reproducible streams regardless of call order.  Within a block,
+evaluation draws each row from its own sample's stream, and transfer
+draws the rows in order from its one stream, so the bits do not depend on
+where the blocks start.
 """
 
 import struct
@@ -37,10 +45,19 @@ _EVAL_TAG = 3
 MID_INIT = "mid"
 UNIFORM_INIT = "uniform"
 
+# Samples per block read.  A block's float copy and nets stay a few MB
+# at 784x500 however many samples a call reads.
+_BLOCK_ROWS = 256
+
 
 def derived_rng(seed, tag, index=0):
     """Deterministic stream for one purpose; disjoint across tags/indices."""
     return np.random.default_rng([int(seed), int(tag), int(index)])
+
+
+def _blocks(count):
+    """Slices of at most ``_BLOCK_ROWS`` consecutive samples covering ``count``."""
+    return [slice(start, start + _BLOCK_ROWS) for start in range(0, count, _BLOCK_ROWS)]
 
 
 def one_hot(label, width):
@@ -166,35 +183,62 @@ def greedy_train(model, images, labels, epochs):
             pulses=layer.grid.pulse_count - pulses_before))
         if not clamp_top:
             transfer = derived_rng(model.rng_seed, _XFER_TAG, index)
-            if len(data):
-                data = np.stack([layer.forward(sample, transfer) for sample in data])
-            else:
-                data = np.zeros((0, layer.n_hidden), dtype=np.uint8)
+            hidden = np.empty((len(data), layer.n_hidden), dtype=np.uint8)
+            for block in _blocks(len(data)):
+                hidden[block] = layer.forward(data[block], transfer)
+            data = hidden
     return report
 
 
-def predict(model, image, sample_index=0):
-    """Class index for one image.
+class _SampleStreams:
+    """The evaluation streams of consecutive samples, one Generator each.
 
-    Hidden states are sampled layer by layer with a stream derived from
-    (model seed, evaluation tag, sample_index), then the top layer is read
+    ``random`` fills row k of a block from the stream of sample
+    ``first + k``, with the values that stream would give the row alone.
+    """
+
+    def __init__(self, seed, first, count):
+        self._streams = [derived_rng(seed, _EVAL_TAG, first + k) for k in range(count)]
+
+    def random(self, shape):
+        draws = np.empty(shape)
+        for stream, row in zip(self._streams, draws):
+            stream.random(out=row)
+        return draws
+
+
+def _classify(model, bits, first):
+    """Class index of each row of a block of checked images, read as
+    samples ``first``, ``first + 1``, ...
+
+    Hidden states are sampled layer by layer, row k with the stream derived
+    from (model seed, evaluation tag, first + k), then the top layer is read
     out deterministically; ties resolve to the lowest class index.
     """
-    bits = ensure_bits(image, model.topology[0], "image")
-    rng = derived_rng(model.rng_seed, _EVAL_TAG, sample_index)
+    streams = _SampleStreams(model.rng_seed, first, bits.shape[0])
     for layer in model.layers[:-1]:
-        bits = layer.forward(bits, rng)
-    probabilities = model.layers[-1].probabilities_forward(bits)
-    return int(np.argmax(probabilities))
+        bits = layer.forward(bits, streams)
+    return np.argmax(model.layers[-1].probabilities_forward(bits), axis=1)
+
+
+def predict(model, image, sample_index=0):
+    """Class index for one image, read as sample ``sample_index``.
+
+    The one-row case of the block read that ``error_rate`` runs.
+    """
+    bits = ensure_bits(image, model.topology[0], "image")
+    return int(_classify(model, bits[np.newaxis], sample_index)[0])
 
 
 def error_rate(model, images, labels):
-    """Fraction of misclassified samples."""
+    """Fraction of misclassified samples; sample k is read as
+    ``predict(model, images[k], k)`` would read it."""
     images, labels = _check_labeled_data(model, images, labels)
     if images.shape[0] == 0:
         raise DimensionError("test set must contain at least one image")
-    wrong = sum(int(predict(model, images[k], k) != labels[k])
-                for k in range(images.shape[0]))
+    wrong = sum(int(np.count_nonzero(_classify(model, images[block], block.start)
+                                     != labels[block]))
+                for block in _blocks(images.shape[0]))
     return wrong / images.shape[0]
 
 

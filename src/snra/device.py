@@ -55,12 +55,14 @@ class PBit:
         return float(prob) if np.isscalar(net_input) else prob
 
     def sample_net(self, net, rng):
-        """One bit per net input, drawn in ascending index order.
+        """One bit per net input: a vector, or a block with one row per sample.
 
-        Trusts ``net`` to be a finite float vector.
+        The uniforms come from ``rng.random(net.shape)``, so a Generator
+        draws a block in row-major order, exactly as it would draw the rows
+        one call at a time.  Trusts ``net`` to hold finite floats.
         """
         prob = expit(self.input_scale * net)
-        return (rng.random(prob.size) < prob).astype(np.uint8)
+        return (rng.random(prob.shape) < prob).astype(np.uint8)
 
 
 class SynapseGrid:
@@ -69,8 +71,10 @@ class SynapseGrid:
     Each cell stores an integer state index d in [0, levels - 1] that maps
     linearly onto [w_min, w_max].  A programming pulse moves the index by
     delta_d in the commanded direction and clips at the ends; it never
-    wraps around.  The float weights follow the pulse methods and
-    ``load_states`` only, so the state arrays are changed through them.
+    wraps around.  With an even ``levels`` no index maps to weight 0: the
+    mid index 15 of 32 maps to -1/31.  The float weights follow the pulse
+    methods and ``load_states`` only, so the state arrays are changed
+    through them.
     """
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
@@ -92,7 +96,11 @@ class SynapseGrid:
         self.delta_d = int(delta_d)
         self.pulse_count = 0
         mid = (self.levels - 1) // 2
-        self.states = self._init_states(states, (self.n_visible, self.n_hidden), mid)
+        shape = (self.n_visible, self.n_hidden)
+        try:
+            self.states = self._init_states(states, shape, mid)
+        except MemoryError:
+            raise DimensionError(f"cannot allocate a synapse grid of shape {shape}") from None
         self.visible_bias_states = self._init_states(
             visible_bias_states, (self.n_visible,), mid)
         self.hidden_bias_states = self._init_states(

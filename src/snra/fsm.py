@@ -20,8 +20,9 @@ registers and clock count exactly as the clocked model does.  The
 controller keeps no rail registers: the frame ``step`` returns is the one
 record of the rails driven on a clock.
 
-Every controller is a training controller; inference reads the array
-directly (see ``dbn.predict``).  Layer stacks are validated here, in
+Every controller is a training controller.  Evaluation and layer transfer
+read the arrays directly, a block of samples per ``RbmArray.forward`` call
+(see ``dbn.error_rate``).  Layer stacks are validated here, in
 ``layer_sizes``, for every module that takes a topology.
 """
 
@@ -35,6 +36,8 @@ from .errors import DimensionError, ProtocolError
 
 CLOCK_HZ = 500e6
 CLOCK_PERIOD_S = 1.0 / CLOCK_HZ
+# The model file stores each layer size as u32.
+_MAX_LAYER_SIZE = 0xFFFFFFFF
 
 
 class State(IntEnum):
@@ -154,11 +157,15 @@ class CdFsm:
 
 
 def layer_sizes(topology):
-    """Validate a layer stack: a tuple of at least two positive sizes."""
+    """Validate a layer stack: a tuple of at least two positive sizes, each
+    small enough for the u32 size field of the model file."""
     sizes = tuple(map(int, topology))
     if len(sizes) < 2 or min(sizes) < 1:
         raise DimensionError(
             f"topology must list at least two positive layer sizes, got {sizes}")
+    if max(sizes) > _MAX_LAYER_SIZE:
+        raise DimensionError(
+            f"layer sizes must not exceed {_MAX_LAYER_SIZE}, got {sizes}")
     return sizes
 
 

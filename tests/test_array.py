@@ -102,6 +102,10 @@ class TestSampling:
             crossbar.backward([1, 0, 1], rng)
         with pytest.raises(DimensionError):
             crossbar.probabilities_forward([1])
+        with pytest.raises(DimensionError):
+            crossbar.forward(np.zeros((4, 2), dtype=np.uint8), rng)
+        with pytest.raises(ValueError):
+            crossbar.probabilities_forward([[1, 0, 2]])
 
     def test_zero_weights_give_half_probability(self):
         crossbar = zero_weight_array(4, 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from test_dataset import damage_gzip, write_idx_pair
+from test_device import fail_large_allocations
 
 from snra import cli, dbn
 
@@ -51,6 +52,20 @@ def test_train_on_an_oversized_idx_header_exits_1(capsys, tmp_path):
             "--labels", str(labels), "--out", str(tmp_path / "model.snra")]
     assert cli.main(argv) == 1
     assert f"expected {0x00FFFFFF * 784} bytes of pixel data, found 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hidden, message", [
+    (2**32, "layer sizes must not exceed 4294967295"),
+    (100_000_000, "cannot allocate a synapse grid of shape (784, 100000000)"),
+])
+def test_train_of_an_unallocatable_topology_exits_1(capsys, monkeypatch, tmp_path,
+                                                    hidden, message):
+    fail_large_allocations(monkeypatch)
+    images, labels = write_idx_pair(tmp_path, np.eye(2, 784), [0, 1])
+    argv = ["train", "--topology", f"784x{hidden}x10", "--images", str(images),
+            "--labels", str(labels), "--out", str(tmp_path / "model.snra")]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 def train_argv(tmp_path, *extra):

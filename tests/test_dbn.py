@@ -6,7 +6,7 @@ import pytest
 from snra import dbn
 from snra.dataset import synthetic_orthogonal
 from snra.errors import DimensionError, IdxFormatError, ModelFormatError
-from snra.fsm import train_clock_budget
+from snra.fsm import CdFsm, train_clock_budget
 
 
 def small_model(seed=3):
@@ -110,6 +110,54 @@ class TestDerivedStreams:
         image = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         assert ([dbn.predict(model, image, k) for k in range(10)]
                 == [dbn.predict(model, image, k) for k in range(10)])
+
+
+def per_sample_transfer_train(model, images, labels, epochs):
+    """greedy_train with each sample pushed up one layer by its own forward
+    call on the transfer stream: the reference for the block read."""
+    data = images
+    last = len(model.layers) - 1
+    for index, layer in enumerate(model.layers):
+        controller = CdFsm(layer.n_visible, layer.n_hidden)
+        rng = dbn.derived_rng(model.rng_seed, dbn._TRAIN_TAG, index)
+        for _ in range(epochs):
+            for sample, label in zip(data, labels):
+                clamp = dbn.one_hot(label, layer.n_hidden) if index == last else None
+                controller.run_cd_iteration(layer, sample, rng, clamp)
+        if index < last:
+            transfer = dbn.derived_rng(model.rng_seed, dbn._XFER_TAG, index)
+            data = np.stack([layer.forward(sample, transfer) for sample in data])
+
+
+class TestBlockReads:
+    # Two full blocks and a partial one, so a rule that restarts or
+    # reorders per block shows.
+    COUNT = 2 * dbn._BLOCK_ROWS + 37
+
+    def test_error_rate_reads_each_sample_as_predict(self):
+        images, labels = training_set()
+        model = small_model()
+        dbn.greedy_train(model, images, labels, 2)
+        test = synthetic_orthogonal(8, 2, self.COUNT // 2 + 1, noise_flip_prob=0.2, seed=5)
+        images, labels = test.images[:self.COUNT], test.labels[:self.COUNT]
+        predicted = np.array([dbn.predict(model, images[k], k) for k in range(self.COUNT)])
+        assert dbn.error_rate(model, images, labels) == np.mean(predicted != labels)
+        assert dbn.error_rate(model, images, predicted) == 0.0
+
+    def test_greedy_train_transfers_as_the_per_sample_loop(self):
+        data = synthetic_orthogonal(784, 8, 40, noise_flip_prob=0.1, seed=2)
+        assert len(data) > dbn._BLOCK_ROWS
+        blocked = dbn.DbnModel((784, 50, 20, 10), rng_seed=6)
+        dbn.greedy_train(blocked, data.images, data.labels, 1)
+        reference = dbn.DbnModel((784, 50, 20, 10), rng_seed=6)
+        per_sample_transfer_train(reference, data.images, data.labels, 1)
+        assert blocked.fingerprint() == reference.fingerprint()
+
+    def test_empty_training_set_leaves_every_layer_untrained(self):
+        model = small_model()
+        report = dbn.greedy_train(model, np.zeros((0, 8), dtype=np.uint8), [], 1)
+        assert report.total_clocks == 0
+        assert model.fingerprint() == small_model().fingerprint()
 
 
 class TestLargestTopology:

@@ -12,6 +12,22 @@ finite_inputs = st.floats(min_value=-50, max_value=50,
                           allow_nan=False, allow_infinity=False)
 
 
+def fail_large_allocations(monkeypatch):
+    """Make ``np.full`` fail as an out-of-memory host would past 10**8 cells.
+
+    The failure is simulated: a real allocation this large could succeed
+    on a host that overcommits memory, and then fill it.
+    """
+    real_full = np.full
+
+    def full(shape, *args, **kwargs):
+        if math.prod(shape) > 10**8:
+            raise MemoryError(shape)
+        return real_full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", full)
+
+
 class TestPBit:
     def test_probability_midpoint(self):
         assert PBit().probability(0.0) == 0.5
@@ -91,6 +107,18 @@ class TestPBit:
         scalars = [int(PBit().sample_net(nets[k:k + 1], b)[0]) for k in range(nets.size)]
         assert vec.tolist() == scalars
 
+    def test_block_draws_as_rows_on_one_stream(self):
+        # A block takes its uniforms from the stream row after row, so it
+        # samples what one call per row on the same stream samples.
+        neuron = PBit(1.5)
+        nets = np.random.default_rng(4).normal(scale=2.0, size=(7, 30))
+        a = np.random.default_rng(8)
+        b = np.random.default_rng(8)
+        block = neuron.sample_net(nets, a)
+        assert block.shape == nets.shape and block.dtype == np.uint8
+        assert np.array_equal(block, np.stack([neuron.sample_net(row, b) for row in nets]))
+        assert a.random() == b.random()
+
     def test_determinism(self):
         outs = []
         for _ in range(2):
@@ -116,6 +144,17 @@ class TestSynapseGrid:
         assert (grid.states == 15).all()
         assert (grid.visible_bias_states == 15).all()
         assert (grid.hidden_bias_states == 15).all()
+        # An even level count has no weight 0: the mid index sits one half
+        # step below it.
+        assert grid.weights() == pytest.approx(np.full((3, 2), -1 / 31), abs=1e-15)
+        odd = SynapseGrid(3, 2, levels=33)
+        assert (odd.states == 16).all()
+        assert (odd.weights() == 0.0).all()
+
+    def test_unallocatable_grid_raises_dimension_error(self, monkeypatch):
+        fail_large_allocations(monkeypatch)
+        with pytest.raises(DimensionError, match=r"\(784, 100000000\)"):
+            SynapseGrid(784, 100_000_000)
 
     def test_apply_pulse_single_step(self):
         grid = SynapseGrid(2, 2)

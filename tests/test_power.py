@@ -41,7 +41,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("topology", [(), (784,), (784, 0)])
+@pytest.mark.parametrize("topology", [(), (784,), (784, 0), (784, 2**32, 10)])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_reject_bad_topologies(entry, topology):
     with pytest.raises(DimensionError):
@@ -50,6 +50,8 @@ def test_entry_points_reject_bad_topologies(entry, topology):
 
 def test_parse_topology():
     assert fsm.parse_topology(" 784X500x10 ") == (784, 500, 10)
+    # The model file stores each size as u32.
+    assert fsm.parse_topology("1x4294967295") == (1, 2**32 - 1)
     for bad in ("784x", "abc"):
         with pytest.raises(DimensionError):
             fsm.parse_topology(bad)
