@@ -8,7 +8,7 @@ non-volatile fabric power model, and VCD waveform capture.
 """
 
 from .array import RbmArray, SignalFrame
-from .dataset import LabeledBitSet, load_idx, synthetic_orthogonal
+from .dataset import LabeledBitSet, load_idx
 from .dbn import DbnModel, error_rate, greedy_train, load_model, predict, save_model
 from .device import PBit, SynapseGrid
 from .errors import SnraError
@@ -41,7 +41,6 @@ __all__ = [
     "parse_vcd",
     "predict",
     "save_model",
-    "synthetic_orthogonal",
     "topology_power",
     "train_clock_budget",
     "write_vcd",

@@ -1,12 +1,10 @@
 """Command-line surface: train, eval, trace, power, and oracle runs.
 
-Every subcommand is deterministic for fixed flags; the seed falls back to
-the SNRA_SEED environment variable, then to 1.  Exit codes: 0 success,
-1 user error, 2 internal error.
+Every subcommand is deterministic for fixed flags, and ``--seed`` defaults
+to 1.  Exit codes: 0 success, 1 user error, 2 internal error.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -36,18 +34,6 @@ def _non_negative_int(text):
     return value
 
 
-def _resolve_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("SNRA_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SnraError(f"SNRA_SEED must be an integer, got {env!r}") from None
-    return 1
-
-
 def _register_bits(text, flag, width):
     bits = bits_from_string(text, flag)
     if bits.size != width:
@@ -58,7 +44,7 @@ def _register_bits(text, flag, width):
 def _cmd_train(args):
     topology = parse_topology(args.topology)
     data = load_idx(args.images, args.labels, limit=args.train_samples)
-    model = dbn.DbnModel(topology, rng_seed=_resolve_seed(args.seed),
+    model = dbn.DbnModel(topology, rng_seed=args.seed,
                          levels=args.levels, delta_d=args.delta_d,
                          input_scale=args.input_scale,
                          use_biases=not args.no_biases)
@@ -104,7 +90,7 @@ def _cmd_oracle(args):
     if args.visible + args.hidden > MAX_EXACT_NODES:
         raise SnraError(
             f"visible + hidden must not exceed {MAX_EXACT_NODES} for exact enumeration")
-    rng = np.random.default_rng(_resolve_seed(args.seed))
+    rng = np.random.default_rng(args.seed)
     grid = SynapseGrid.uniform_random(args.visible, args.hidden, rng)
     crossbar = RbmArray(grid)
     counts = gibbs_joint_counts(crossbar, args.sweeps, rng)
@@ -129,7 +115,7 @@ def build_parser():
     train.add_argument("--train-samples", type=_non_negative_int, default=None,
                        help="use only the first N samples")
     train.add_argument("--epochs", type=_non_negative_int, default=1)
-    train.add_argument("--seed", type=_non_negative_int, default=None)
+    train.add_argument("--seed", type=_non_negative_int, default=1)
     train.add_argument("--levels", type=_positive_int, default=32,
                        help="synapse quantization levels")
     train.add_argument("--delta-d", type=_positive_int, default=1,
@@ -171,7 +157,7 @@ def build_parser():
     orc.add_argument("--visible", type=_positive_int, required=True)
     orc.add_argument("--hidden", type=_positive_int, required=True)
     orc.add_argument("--sweeps", type=_positive_int, default=100000)
-    orc.add_argument("--seed", type=_non_negative_int, default=None)
+    orc.add_argument("--seed", type=_non_negative_int, default=1)
     orc.set_defaults(handler=_cmd_oracle)
     return parser
 

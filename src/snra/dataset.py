@@ -1,4 +1,4 @@
-"""Dataset ingestion: IDX image/label files and synthetic bit patterns.
+"""Dataset ingestion: IDX image/label files.
 
 IDX files may be plain or gzip-compressed; compression is detected from
 the two-byte gzip signature, not the file name.
@@ -136,29 +136,3 @@ def load_idx(images_path, labels_path, limit=None):
         raise IdxFormatError(f"{labels_path}: labels exceed class range 0..9")
     bits = (images > DEFAULT_THRESHOLD).astype(np.uint8)
     return LabeledBitSet(bits, labels, 10)
-
-
-def synthetic_orthogonal(width, classes, samples_per_class, noise_flip_prob=0.0,
-                         seed=0):
-    """Block-orthogonal patterns: class k owns bits [k*w/c, (k+1)*w/c).
-
-    Each sample is its class prototype with bits flipped independently at
-    noise_flip_prob.
-    """
-    if classes < 1 or width < 1:
-        raise ValueError("width and classes must be positive")
-    if classes > width or width % classes != 0:
-        raise ValueError(f"width {width} must be a positive multiple of classes {classes}")
-    if not 0.0 <= noise_flip_prob <= 1.0:
-        raise ValueError(f"noise_flip_prob must be in [0, 1], got {noise_flip_prob}")
-    block = width // classes
-    prototypes = np.zeros((classes, width), dtype=np.uint8)
-    for k in range(classes):
-        prototypes[k, k * block:(k + 1) * block] = 1
-    rng = np.random.default_rng(seed)
-    images = np.repeat(prototypes, samples_per_class, axis=0)
-    labels = np.repeat(np.arange(classes, dtype=np.int64), samples_per_class)
-    if noise_flip_prob > 0.0:
-        flips = rng.random(images.shape) < noise_flip_prob
-        images = np.where(flips, 1 - images, images).astype(np.uint8)
-    return LabeledBitSet(images, labels, classes)

@@ -37,6 +37,12 @@ MAGIC = b"SNRA"
 FORMAT_VERSION = 1
 _FLAG_USE_BIASES = 0x0001
 
+# The model file's fixed fields, little-endian, written and read by the same
+# layouts: magic, format version, layer count; then, after the u32 layer
+# sizes, levels, delta_d, input_scale, w_min, w_max, rng_seed and flags.
+_HEADER = struct.Struct("<4sHH")
+_CONFIG = struct.Struct("<HHdddQH")
+
 _INIT_TAG = 0
 _TRAIN_TAG = 1
 _XFER_TAG = 2
@@ -245,20 +251,17 @@ def error_rate(model, images, labels):
 def to_bytes(model):
     """Serialize a model.
 
-    Layout (little-endian): magic "SNRA"; u16 format version; u16 layer
-    count; u32 per layer size; u16 levels; u16 delta_d; f64 input_scale;
-    f64 w_min; f64 w_max; u64 rng_seed; u16 flags (bit 0 = biases on);
-    then per RBM layer the u16 state grid row-major, the u16 visible bias
-    states, and the u16 hidden bias states.
+    Layout (little-endian): the ``_HEADER`` fields; u32 per layer size; the
+    ``_CONFIG`` fields (flags bit 0 = biases on); then per RBM layer the u16
+    state grid row-major, the u16 visible bias states, and the u16 hidden
+    bias states.
     """
     sizes = model.topology
     flags = _FLAG_USE_BIASES if model.use_biases else 0
-    out = [MAGIC,
-           struct.pack("<HH", FORMAT_VERSION, len(sizes)),
+    out = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(sizes)),
            struct.pack(f"<{len(sizes)}I", *sizes),
-           struct.pack("<HH", model.levels, model.delta_d),
-           struct.pack("<ddd", model.input_scale, model.w_min, model.w_max),
-           struct.pack("<QH", model.rng_seed, flags)]
+           _CONFIG.pack(model.levels, model.delta_d, model.input_scale,
+                        model.w_min, model.w_max, model.rng_seed, flags)]
     for layer in model.layers:
         grid = layer.grid
         out.append(grid.states.astype("<u2").tobytes(order="C"))
@@ -267,21 +270,12 @@ def to_bytes(model):
     return b"".join(out)
 
 
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count, what):
-        end = self.offset + count
-        if end > len(self.data):
-            raise ModelFormatError(f"model file truncated reading {what}")
-        chunk = self.data[self.offset:end]
-        self.offset = end
-        return chunk
-
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+def _unpack(layout, data, offset, what):
+    """The fields of ``layout`` at ``offset`` in ``data``, and the offset after them."""
+    end = offset + layout.size
+    if end > len(data):
+        raise ModelFormatError(f"model file truncated reading {what}")
+    return layout.unpack_from(data, offset), end
 
 
 def from_bytes(data):
@@ -290,21 +284,20 @@ def from_bytes(data):
     The payload length the header's layer sizes imply is checked against
     the data before any device grid is allocated.
     """
-    reader = _Reader(data)
-    if reader.take(4, "magic") != MAGIC:
+    (magic, version, n_layers), offset = _unpack(_HEADER, data, 0, "header")
+    if magic != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
-    version, n_layers = reader.unpack("<HH", "header")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
+    sizes, offset = _unpack(struct.Struct(f"<{n_layers}I"), data, offset, "topology")
     try:
-        sizes = layer_sizes(reader.unpack(f"<{n_layers}I", "topology"))
+        sizes = layer_sizes(sizes)
     except DimensionError as exc:
         raise ModelFormatError(f"corrupt topology: {exc}") from None
-    levels, delta_d = reader.unpack("<HH", "device config")
-    input_scale, w_min, w_max = reader.unpack("<ddd", "device config")
-    rng_seed, flags = reader.unpack("<QH", "seed/flags")
+    config, offset = _unpack(_CONFIG, data, offset, "device config")
+    levels, delta_d, input_scale, w_min, w_max, rng_seed, flags = config
     payload = 2 * sum(n_v * n_h + n_v + n_h for n_v, n_h in zip(sizes[:-1], sizes[1:]))
-    remaining = len(data) - reader.offset
+    remaining = len(data) - offset
     if remaining != payload:
         raise ModelFormatError(
             f"model payload is {remaining} bytes, topology {sizes} needs {payload}")
@@ -314,17 +307,13 @@ def from_bytes(data):
                          use_biases=bool(flags & _FLAG_USE_BIASES))
     except ValueError as exc:
         raise ModelFormatError(f"corrupt device config: {exc}") from None
+    rest = np.frombuffer(data, dtype="<u2", offset=offset)
     for layer in model.layers:
         grid = layer.grid
         n_v, n_h = grid.n_visible, grid.n_hidden
-        states = np.frombuffer(reader.take(2 * n_v * n_h, "state grid"),
-                               dtype="<u2").astype(np.int64)
-        visible = np.frombuffer(reader.take(2 * n_v, "visible bias"),
-                                dtype="<u2").astype(np.int64)
-        hidden = np.frombuffer(reader.take(2 * n_h, "hidden bias"),
-                               dtype="<u2").astype(np.int64)
+        weights, visible, hidden, rest = np.split(rest, np.cumsum([n_v * n_h, n_v, n_h]))
         try:
-            grid.load_states(states.reshape(n_v, n_h), visible, hidden)
+            grid.load_states(weights.reshape(n_v, n_h), visible, hidden)
         except (ValueError, DimensionError) as exc:
             raise ModelFormatError(f"corrupt device state: {exc}") from None
     return model

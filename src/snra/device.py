@@ -78,8 +78,7 @@ class SynapseGrid:
     """
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
-                 delta_d=1, states=None, visible_bias_states=None,
-                 hidden_bias_states=None):
+                 delta_d=1):
         if n_visible < 1 or n_hidden < 1:
             raise DimensionError("grid needs at least one visible and one hidden line")
         if levels < 2:
@@ -98,37 +97,22 @@ class SynapseGrid:
         mid = (self.levels - 1) // 2
         shape = (self.n_visible, self.n_hidden)
         try:
-            self.states = self._init_states(states, shape, mid)
+            self.states = np.full(shape, mid, dtype=np.int64)
         except MemoryError:
             raise DimensionError(f"cannot allocate a synapse grid of shape {shape}") from None
-        self.visible_bias_states = self._init_states(
-            visible_bias_states, (self.n_visible,), mid)
-        self.hidden_bias_states = self._init_states(
-            hidden_bias_states, (self.n_hidden,), mid)
+        self.visible_bias_states = np.full(self.n_visible, mid, dtype=np.int64)
+        self.hidden_bias_states = np.full(self.n_hidden, mid, dtype=np.int64)
         self._cache = {}
-
-    def _init_states(self, given, shape, fill):
-        if given is None:
-            return np.full(shape, fill, dtype=np.int64)
-        # Row-major, so that pulse_block's flat reshape is a view, not a copy.
-        arr = _integers(given, "state indices").astype(np.int64, order="C")
-        if arr.shape != shape:
-            raise DimensionError(f"state array must have shape {shape}, got {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
-            raise ValueError(f"state indices must lie in [0, {self.levels - 1}]")
-        return arr
 
     @classmethod
     def uniform_random(cls, n_visible, n_hidden, rng, **kwargs):
-        """Grid with every state index drawn uniformly from the full range."""
-        levels = kwargs.pop("levels", 32)
-        return cls(
-            n_visible, n_hidden, levels=levels,
-            states=rng.integers(0, levels, size=(n_visible, n_hidden)),
-            visible_bias_states=rng.integers(0, levels, size=n_visible),
-            hidden_bias_states=rng.integers(0, levels, size=n_hidden),
-            **kwargs,
-        )
+        """Grid with every state index drawn uniformly from the full range:
+        the weights, then the visible biases, then the hidden biases."""
+        grid = cls(n_visible, n_hidden, **kwargs)
+        grid.load_states(rng.integers(0, grid.levels, size=(n_visible, n_hidden)),
+                         rng.integers(0, grid.levels, size=n_visible),
+                         rng.integers(0, grid.levels, size=n_hidden))
+        return grid
 
     @property
     def weight_step(self):
@@ -221,16 +205,26 @@ class SynapseGrid:
             # pulse_block, so the cache is indexed in the same shape.
             cached.base.reshape(states.shape)[index] = self.weight(cells)
 
+    def _checked_states(self, given, shape):
+        # Row-major, so that pulse_block's flat reshape is a view, not a copy.
+        arr = _integers(given, "state indices").astype(np.int64, order="C")
+        if arr.shape != shape:
+            raise DimensionError(f"state array must have shape {shape}, got {arr.shape}")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
+            raise ValueError(f"state indices must lie in [0, {self.levels - 1}]")
+        return arr
+
     def load_states(self, states, visible_bias_states, hidden_bias_states):
         """Overwrite every state index at once, with full range validation.
 
-        All three arrays are checked before any is assigned, so a rejected
-        load leaves the device and its float weights as they were; a load
-        that succeeds has the float weights rebuilt on their next read.
+        The one way given states enter a grid.  All three arrays are checked
+        before any is assigned, so a rejected load leaves the device and its
+        float weights as they were; a load that succeeds has the float
+        weights rebuilt on their next read.
         """
-        loaded = (self._init_states(states, (self.n_visible, self.n_hidden), 0),
-                  self._init_states(visible_bias_states, (self.n_visible,), 0),
-                  self._init_states(hidden_bias_states, (self.n_hidden,), 0))
+        loaded = (self._checked_states(states, (self.n_visible, self.n_hidden)),
+                  self._checked_states(visible_bias_states, (self.n_visible,)),
+                  self._checked_states(hidden_bias_states, (self.n_hidden,)))
         self.states, self.visible_bias_states, self.hidden_bias_states = loaded
         self._cache = {}
 

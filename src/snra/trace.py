@@ -151,15 +151,22 @@ class VcdTrace:
         for var in self.variables:
             if var.name == name:
                 return var.width
-        raise KeyError(name)
+        raise ProtocolError(f"VCD declares no variable {name}")
+
+
+def _malformed(number, line):
+    return ProtocolError(f"malformed VCD line {number}: {line.strip()!r}")
 
 
 def parse_vcd(text):
-    """Minimal VCD reader covering the subset this package writes."""
-    lines = iter(text.splitlines())
+    """Minimal VCD reader covering the subset this package writes.
+
+    A line it cannot read raises ``ProtocolError`` naming that line.
+    """
+    lines = enumerate(text.splitlines(), start=1)
     timescale = ""
     variables = []
-    for line in lines:
+    for number, line in lines:
         tokens = line.split()
         if not tokens:
             continue
@@ -167,6 +174,8 @@ def parse_vcd(text):
             timescale = " ".join(tokens[1:-1])
         elif tokens[0] == "$var":
             # $var wire <width> <code> <name> [range] $end
+            if len(tokens) < 5 or not tokens[2].isdecimal():
+                raise _malformed(number, line)
             variables.append(VcdVar(name=tokens[4], width=int(tokens[2]),
                                     code=tokens[3]))
         elif tokens[0] == "$enddefinitions":
@@ -175,20 +184,27 @@ def parse_vcd(text):
     snapshots = []
     current = {}
     time = None
-    for line in lines:
+    for number, line in lines:
         token = line.strip()
         if not token or token in ("$dumpvars", "$end"):
             continue
         if token.startswith("#"):
+            if not token[1:].isdecimal():
+                raise _malformed(number, line)
             if time is not None:
                 snapshots.append((time, dict(current)))
             time = int(token[1:])
-        elif token.startswith("b"):
-            value, code = token[1:].split()
-            current[by_code[code]] = value
+            continue
+        if token.startswith("b"):
+            try:
+                value, code = token[1:].split()
+            except ValueError:
+                raise _malformed(number, line) from None
         else:
             value, code = token[0], token[1:]
-            current[by_code[code]] = value
+        if code not in by_code:
+            raise _malformed(number, line)
+        current[by_code[code]] = value
     if time is not None:
         snapshots.append((time, dict(current)))
     return VcdTrace(timescale=timescale, variables=variables, snapshots=snapshots)

@@ -155,11 +155,10 @@ class TestSampling:
         assert np.allclose(bare.probabilities_forward(v), 1 / (1 + np.exp(-net)))
 
     def test_transpose_symmetry(self):
-        states = [[3, 25]]
-        a = SynapseGrid(1, 2, states=states, visible_bias_states=[7],
-                        hidden_bias_states=[20, 4])
-        b = SynapseGrid(2, 1, states=[[3], [25]], visible_bias_states=[20, 4],
-                        hidden_bias_states=[7])
+        a = SynapseGrid(1, 2)
+        a.load_states([[3, 25]], [7], [20, 4])
+        b = SynapseGrid(2, 1)
+        b.load_states([[3], [25]], [20, 4], [7])
         h = np.array([1, 1], dtype=np.uint8)
         out_a = RbmArray(a).backward(h, np.random.default_rng(8))
         out_b = RbmArray(b).forward(h, np.random.default_rng(8))

@@ -74,19 +74,13 @@ def train_argv(tmp_path, *extra):
             "--out", str(tmp_path / "model.snra"), *extra]
 
 
-@pytest.mark.parametrize("extra, seed_variable", [
-    (["--seed", str(2**64)], None),
-    ([], str(2**64)),
-    (["--levels", "99999999999999999999"], None),
-    (["--delta-d", "99999999999999999999"], None),
-    (["--delta-d", "70000"], None),
+@pytest.mark.parametrize("extra", [
+    ["--seed", str(2**64)],
+    ["--levels", "99999999999999999999"],
+    ["--delta-d", "99999999999999999999"],
+    ["--delta-d", "70000"],
 ])
-def test_unsavable_settings_exit_1_and_keep_the_old_model(
-        capsys, monkeypatch, tmp_path, extra, seed_variable):
-    if seed_variable is None:
-        monkeypatch.delenv("SNRA_SEED", raising=False)
-    else:
-        monkeypatch.setenv("SNRA_SEED", seed_variable)
+def test_unsavable_settings_exit_1_and_keep_the_old_model(capsys, tmp_path, extra):
     model_path = tmp_path / "model.snra"
     dbn.save_model(dbn.DbnModel((784, 2)), model_path)
     before = model_path.read_bytes()
@@ -134,17 +128,11 @@ def test_trace_register_of_the_wrong_width_exits_1(capsys):
 ORACLE = ["oracle", "--visible", "2", "--hidden", "2", "--sweeps", "300"]
 
 
-def test_non_integer_seed_variable_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("SNRA_SEED", "seven")
-    assert run(ORACLE, capsys)[0] == 1
-
-
-def test_seed_variable_matches_seed_flag(capsys, monkeypatch):
-    monkeypatch.delenv("SNRA_SEED", raising=False)
-    flagged = run(ORACLE + ["--seed", "7"], capsys)
-    monkeypatch.setenv("SNRA_SEED", "7")
-    assert run(ORACLE, capsys) == flagged
-    assert flagged[0] == 0 and flagged[1].startswith("tv_distance=")
+def test_seed_defaults_to_1(capsys):
+    default = run(ORACLE, capsys)
+    assert default == run(ORACLE + ["--seed", "1"], capsys)
+    assert default[0] == 0 and default[1].startswith("tv_distance=")
+    assert default != run(ORACLE + ["--seed", "7"], capsys)
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):

@@ -2,9 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from test_dataset import synthetic_orthogonal
 
 from snra import dbn
-from snra.dataset import synthetic_orthogonal
 from snra.errors import DimensionError, IdxFormatError, ModelFormatError
 from snra.fsm import CdFsm, train_clock_budget
 
@@ -52,6 +52,26 @@ class TestSerialization:
             dbn.from_bytes(data[:4] + struct.pack("<H", dbn.FORMAT_VERSION + 1) + data[6:])
         with pytest.raises(ModelFormatError):
             dbn.from_bytes(data + b"\x00")
+
+    @pytest.mark.parametrize("array, position", [
+        ("states", 7), ("visible_bias_states", 9), ("hidden_bias_states", 13)])
+    def test_out_of_range_state_in_the_second_layer_rejected(self, array, position):
+        # The second layer of 3x2x4 is 2x4: its payload holds 8 weight
+        # states, then 2 visible and 4 hidden bias states.  Each case
+        # writes the last state of one of them.
+        model = dbn.DbnModel((3, 2, 4), levels=8)
+        data = bytearray(dbn.to_bytes(model))
+        start = len(header(model.topology)) + 2 * (3 * 2 + 3 + 2) + 2 * position
+        data[start:start + 2] = struct.pack("<H", 7)
+        grid = model.layers[1].grid
+        arrays = {name: getattr(grid, name).copy()
+                  for name in ("states", "visible_bias_states", "hidden_bias_states")}
+        arrays[array].reshape(-1)[-1] = 7
+        grid.load_states(**arrays)
+        assert dbn.from_bytes(bytes(data)).fingerprint() == model.fingerprint()
+        data[start:start + 2] = struct.pack("<H", 8)
+        with pytest.raises(ModelFormatError, match="corrupt device state"):
+            dbn.from_bytes(bytes(data))
 
     def test_bad_topology_rejected(self):
         for sizes in ((784,), (784, 0)):

@@ -245,7 +245,8 @@ class TestSynapseGrid:
 
     def test_pulse_block_writes_only_its_block(self):
         # Column-major initial states still take the write in place.
-        grid = SynapseGrid(3, 4, levels=8, states=np.asfortranarray(np.full((3, 4), 3)))
+        grid = SynapseGrid(3, 4, levels=8)
+        grid.load_states(np.asfortranarray(np.full((3, 4), 3)), [3, 3, 3], [3, 3, 3, 3])
         grid.weights()
         grid.pulse_block([0, 2], [1, 3], [[1, -1], [0, 1]])
         assert grid.states.tolist() == [[3, 4, 3, 2], [3, 3, 3, 3], [3, 3, 3, 4]]
@@ -332,6 +333,16 @@ class TestSynapseGrid:
         for arr in (grid.states, grid.visible_bias_states, grid.hidden_bias_states):
             assert arr.min() >= 0 and arr.max() <= 7
 
+    def test_uniform_random_loads_its_draws_in_order(self):
+        grid = SynapseGrid.uniform_random(5, 4, np.random.default_rng(3), levels=8,
+                                          delta_d=2)
+        twin = np.random.default_rng(3)
+        loaded = SynapseGrid(5, 4, levels=8, delta_d=2)
+        loaded.load_states(twin.integers(0, 8, size=(5, 4)), twin.integers(0, 8, size=5),
+                           twin.integers(0, 8, size=4))
+        assert grid.fingerprint() == loaded.fingerprint()
+        assert (grid.levels, grid.delta_d) == (8, 2)
+
     def test_constructor_validation(self):
         with pytest.raises(Exception):
             SynapseGrid(0, 2)
@@ -341,15 +352,9 @@ class TestSynapseGrid:
             SynapseGrid(2, 2, w_min=1.0, w_max=-1.0)
         with pytest.raises(ValueError):
             SynapseGrid(2, 2, delta_d=0)
-        with pytest.raises(ValueError):
-            SynapseGrid(2, 2, levels=4, states=[[9, 0], [0, 0]])
-        # Fractions are rejected, not truncated to a state index.
-        with pytest.raises(ValueError, match="state indices must hold integers"):
-            SynapseGrid(2, 2, levels=4, states=[[0.7, 1.9], [2.5, 3.2]])
-        with pytest.raises(ValueError, match="state indices must hold integers"):
-            SynapseGrid(2, 2, levels=4, visible_bias_states=[0.5, 1.0])
-        with pytest.raises(ValueError, match="state indices must hold integers"):
-            SynapseGrid(2, 2, levels=4, hidden_bias_states=np.array([1.0, 2.0]))
+        # Given states enter only through load_states.
+        with pytest.raises(TypeError):
+            SynapseGrid(2, 2, states=[[0, 0], [0, 0]])
 
     def test_load_states_validation(self):
         grid = SynapseGrid(2, 2, levels=4)
@@ -359,6 +364,10 @@ class TestSynapseGrid:
         with pytest.raises(ValueError, match="state indices must hold integers"):
             grid.load_states([[0.7, 1.9], [2.5, 3.2]], [0, 0], [0, 0])
         assert grid.fingerprint() == before
+        with pytest.raises(ValueError, match="state indices must hold integers"):
+            grid.load_states([[0, 1], [2, 3]], [0.5, 1.0], [0, 0])
+        with pytest.raises(ValueError, match="state indices must hold integers"):
+            grid.load_states([[0, 1], [2, 3]], [0, 0], np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match="state indices must hold integers"):
             grid.load_states([[0, 1], [2, 3]], [0, 0], [0.5, 1.0])
 

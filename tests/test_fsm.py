@@ -222,8 +222,9 @@ class TestFusedIteration:
         # exactly the float CD-1 rule.
         n_v, n_h, delta_d = 20, 6, 2
         rng = np.random.default_rng(15)
-        grid = SynapseGrid(n_v, n_h, levels=32, delta_d=delta_d,
-                           states=rng.integers(delta_d, 32 - delta_d, (n_v, n_h)))
+        grid = SynapseGrid(n_v, n_h, levels=32, delta_d=delta_d)
+        grid.load_states(rng.integers(delta_d, 32 - delta_d, (n_v, n_h)),
+                         grid.visible_bias_states, grid.hidden_bias_states)
         crossbar = RbmArray(grid)
         fsm = CdFsm(n_v, n_h)
         before = grid.states.copy()

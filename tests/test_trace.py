@@ -84,3 +84,17 @@ def test_dump_with_two_wwl_bits_set_is_rejected():
 def test_empty_trace_rejected():
     with pytest.raises(ProtocolError):
         write_vcd([])
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("$var wire 1\n", "line 1", id="short-var"),
+    pytest.param("$enddefinitions $end\n#0\n1!\n", "line 3", id="undeclared-code"),
+    pytest.param("$enddefinitions $end\n#x\n", "line 2", id="bad-timestamp"),
+    pytest.param("$var wire z ! CLK $end\n", "line 1", id="bad-width"),
+    pytest.param("$var wire 3 ! BL $end\n$enddefinitions $end\n#0\nb101\n", "line 4",
+                 id="vector-without-code"),
+    pytest.param("", "no variable BL", id="empty"),
+])
+def test_malformed_vcd_raises_protocol_error(text, message):
+    with pytest.raises(ProtocolError, match=message):
+        steps_from_vcd(parse_vcd(text))
