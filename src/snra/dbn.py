@@ -29,7 +29,7 @@ import numpy as np
 from .array import RbmArray
 from .bits import ensure_bits
 from .dataset import LabeledBitSet
-from .device import PBit, SynapseGrid
+from .device import PBit, SynapseGrid, integer_setting
 from .errors import DimensionError, ModelFormatError
 from .fsm import CLOCK_HZ, CLOCK_PERIOD_S, CdFsm, layer_sizes
 
@@ -81,6 +81,9 @@ class DbnModel:
                  input_scale=1.0, w_min=-1.0, w_max=1.0, use_biases=True,
                  init=MID_INIT):
         sizes = layer_sizes(topology)
+        rng_seed = integer_setting(rng_seed, "rng_seed")
+        levels = integer_setting(levels, "levels")
+        delta_d = integer_setting(delta_d, "delta_d")
         # The model file stores the seed as u64 and levels and delta_d as u16.
         if not 0 <= rng_seed < 1 << 64:
             raise ValueError(f"rng_seed must lie in [0, 2**64 - 1], got {rng_seed}")
@@ -89,9 +92,9 @@ class DbnModel:
         if init not in (MID_INIT, UNIFORM_INIT):
             raise ValueError(f"init must be {MID_INIT!r} or {UNIFORM_INIT!r}")
         self.topology = sizes
-        self.rng_seed = int(rng_seed)
-        self.levels = int(levels)
-        self.delta_d = int(delta_d)
+        self.rng_seed = rng_seed
+        self.levels = levels
+        self.delta_d = delta_d
         self.input_scale = float(input_scale)
         self.w_min = float(w_min)
         self.w_max = float(w_max)

@@ -8,14 +8,38 @@ The float weights are built once, on their first read, and each write then
 refreshes only the cells it addressed with the same elementwise map, so the
 cached weights always equal a full rebuild bit for bit.  Readers get
 read-only arrays: the device states are the one way to change a weight.
+
+The sigmoid is scipy's ``expit``, but scipy is loaded by the first sigmoid
+a neuron computes, not by ``import snra``: commands that sample nothing
+(``snra power``, ``snra trace``) never load it.
 """
 
 import hashlib
+import operator
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError
+
+
+def expit(x):
+    """``scipy.special.expit`` of ``x``, loaded on the first call.
+
+    The call rebinds this module's ``expit`` to scipy's ufunc, so every
+    later sigmoid looks up the ufunc itself, as a module-level import would.
+    """
+    global expit
+    from scipy.special import expit
+    return expit(x)
+
+
+def integer_setting(value, name):
+    """``value`` as an int; a float, string or other non-integer is
+    rejected, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _integers(values, name):
@@ -81,6 +105,8 @@ class SynapseGrid:
                  delta_d=1):
         if n_visible < 1 or n_hidden < 1:
             raise DimensionError("grid needs at least one visible and one hidden line")
+        levels = integer_setting(levels, "levels")
+        delta_d = integer_setting(delta_d, "delta_d")
         if levels < 2:
             raise ValueError(f"levels must be at least 2, got {levels}")
         if not (np.isfinite(w_min) and np.isfinite(w_max) and w_min < w_max):
@@ -89,10 +115,10 @@ class SynapseGrid:
             raise ValueError(f"delta_d must be a positive integer, got {delta_d}")
         self.n_visible = int(n_visible)
         self.n_hidden = int(n_hidden)
-        self.levels = int(levels)
+        self.levels = levels
         self.w_min = float(w_min)
         self.w_max = float(w_max)
-        self.delta_d = int(delta_d)
+        self.delta_d = delta_d
         self.pulse_count = 0
         mid = (self.levels - 1) // 2
         shape = (self.n_visible, self.n_hidden)

@@ -26,6 +26,7 @@ read the arrays directly, a block of samples per ``RbmArray.forward`` call
 ``layer_sizes``, for every module that takes a topology.
 """
 
+import operator
 from enum import IntEnum
 
 import numpy as np
@@ -157,9 +158,19 @@ class CdFsm:
 
 
 def layer_sizes(topology):
-    """Validate a layer stack: a tuple of at least two positive sizes, each
-    small enough for the u32 size field of the model file."""
-    sizes = tuple(map(int, topology))
+    """Validate a layer stack: at least two positive integer sizes, each
+    small enough for the u32 size field of the model file.
+
+    Only ``parse_topology`` reads text: a string here is rejected, not read
+    digit by digit, and a float size is rejected, not truncated.
+    """
+    if isinstance(topology, (str, bytes, bytearray)):
+        raise DimensionError(f"topology must be a sequence of layer sizes, got {topology!r}")
+    try:
+        sizes = tuple(map(operator.index, topology))
+    except TypeError:
+        raise DimensionError(
+            f"topology must be a sequence of integer layer sizes, got {topology!r}") from None
     if len(sizes) < 2 or min(sizes) < 1:
         raise DimensionError(
             f"topology must list at least two positive layer sizes, got {sizes}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from test_dataset import damage_gzip, write_idx_pair
-from test_device import fail_large_allocations
+from test_device import BLOCK_SCIPY, fail_large_allocations, fresh_python
 
 from snra import cli, dbn
 
@@ -141,3 +141,36 @@ def test_internal_error_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.power, "topology_power", broken)
     assert run(["power", "--topology", "784x10", "--tech", "sram"], capsys)[0] == 2
+
+
+# ``python -m snra`` with the command line passed after ``-c``.
+RUN_SNRA = "import runpy; runpy.run_module('snra', run_name='__main__', alter_sys=True)"
+
+
+def test_import_snra_loads_no_scipy():
+    done = fresh_python(BLOCK_SCIPY + "import snra")
+    assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize("argv, block_scipy", [
+    pytest.param(["power", "--topology", "784x500x10", "--tech", "she-mtj",
+                  "--csv", "power.csv"], True, id="power"),
+    pytest.param(["trace", "--visible", "3", "--hidden", "2", "--v", "101", "--h", "01",
+                  "--vbar", "011", "--hbar", "10"], True, id="trace"),
+    pytest.param(ORACLE, False, id="oracle"),
+])
+def test_fresh_process_matches_in_process(capsys, monkeypatch, tmp_path, argv, block_scipy):
+    # Only sampling needs scipy, so power and trace must run without it.
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    code, out = run(argv, capsys)
+    done = fresh_python((BLOCK_SCIPY if block_scipy else "") + RUN_SNRA, *argv, cwd=fresh)
+    assert done.returncode == 0, done.stderr.decode()
+    assert code == 0
+    assert done.stdout == out.encode()
+    written = sorted(path.name for path in here.iterdir())
+    assert sorted(path.name for path in fresh.iterdir()) == written
+    for name in written:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()

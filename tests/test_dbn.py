@@ -88,7 +88,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("config", [
         {"rng_seed": 2**64}, {"levels": 0x10000}, {"delta_d": 0x10000},
-        {"levels": 10**20}, {"delta_d": 10**20}])
+        {"levels": 10**20}, {"delta_d": 10**20},
+        # Non-integers are rejected, not truncated.
+        {"rng_seed": 2.9}, {"levels": 32.5}, {"delta_d": 1.5},
+        {"rng_seed": np.float64(7.0)}, {"levels": "32"}])
     def test_unsavable_settings_rejected_before_any_grid(self, monkeypatch, config):
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built before the settings were checked")

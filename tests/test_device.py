@@ -1,15 +1,33 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from snra.device import PBit, SynapseGrid
 from snra.errors import DimensionError
 
 finite_inputs = st.floats(min_value=-50, max_value=50,
                           allow_nan=False, allow_infinity=False)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Prepended to a fresh interpreter's code, makes every scipy import fail.
+BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
+
+
+def fresh_python(code, *args, cwd=None):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports snra
+    from this checkout's ``src``; stdout and stderr are captured as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, timeout=120)
 
 
 def fail_large_allocations(monkeypatch):
@@ -130,6 +148,39 @@ class TestPBit:
         rng = np.random.default_rng(2024)
         draws = PBit().sample_net(np.zeros(10**6), rng)
         assert abs(float(draws.mean()) - 0.5) < 0.002
+
+    # Calls the named PBit methods in order in a fresh process, where the
+    # first of them computes the first sigmoid and so loads scipy.
+    FIRST_SIGMOID = """import json, sys
+import numpy as np
+from snra import device
+loaded_at_import = "scipy" in sys.modules
+bit = device.PBit(1.7)
+net = np.linspace(-40.0, 40.0, 2001)
+out = {}
+for name in sys.argv[1:]:
+    if name == "probability":
+        out[name] = bit.probability(net).tobytes().hex()
+    else:
+        out[name] = bit.sample_net(net, np.random.default_rng(5)).tobytes().hex()
+import scipy.special
+print(json.dumps({"loaded_at_import": loaded_at_import,
+                  "bound": device.expit is scipy.special.expit, **out}))
+"""
+
+    @pytest.mark.parametrize("order", [("probability", "sample_net"),
+                                       ("sample_net", "probability")])
+    def test_first_sigmoid_is_scipys_expit(self, order):
+        done = fresh_python(self.FIRST_SIGMOID, *order)
+        assert done.returncode == 0, done.stderr.decode()
+        out = json.loads(done.stdout)
+        net = np.linspace(-40.0, 40.0, 2001)
+        prob = expit(1.7 * net)
+        bits = (np.random.default_rng(5).random(net.shape) < prob).astype(np.uint8)
+        assert out["probability"] == prob.tobytes().hex()
+        assert out["sample_net"] == bits.tobytes().hex()
+        assert not out["loaded_at_import"]
+        assert out["bound"]
 
 
 class TestSynapseGrid:
@@ -355,6 +406,12 @@ class TestSynapseGrid:
         # Given states enter only through load_states.
         with pytest.raises(TypeError):
             SynapseGrid(2, 2, states=[[0, 0], [0, 0]])
+
+    @pytest.mark.parametrize("setting", [
+        {"levels": 2.9}, {"delta_d": 1.5}, {"levels": np.float64(32.0)}, {"delta_d": "1"}])
+    def test_non_integer_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SynapseGrid(2, 2, **setting)
 
     def test_load_states_validation(self):
         grid = SynapseGrid(2, 2, levels=4)

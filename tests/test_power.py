@@ -1,3 +1,6 @@
+import struct
+
+import numpy as np
 import pytest
 
 from snra import fsm, power
@@ -46,6 +49,36 @@ ENTRY_POINTS = {
 def test_entry_points_reject_bad_topologies(entry, topology):
     with pytest.raises(DimensionError):
         ENTRY_POINTS[entry](topology)
+
+
+@pytest.mark.parametrize("topology", [
+    pytest.param("784", id="digits"),
+    pytest.param(b"784", id="bytes"),
+    pytest.param("784x10", id="text"),
+    pytest.param(784, id="int"),
+    pytest.param((784.9, 10.2), id="floats"),
+    pytest.param((np.float64(784.0), 10), id="numpy-float"),
+    pytest.param(("784", "10"), id="strings"),
+])
+@pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"parse_topology"}))
+def test_entry_points_reject_non_integer_topologies(entry, topology):
+    # Only parse_topology reads text; no size is truncated.
+    with pytest.raises(DimensionError):
+        ENTRY_POINTS[entry](topology)
+
+
+@pytest.mark.parametrize("topology", [
+    pytest.param((np.int64(784), np.uint32(500), np.uint8(10)), id="numpy-scalars"),
+    pytest.param(np.array([784, 500, 10]), id="numpy-array"),
+    pytest.param(struct.unpack("<3I", struct.pack("<3I", 784, 500, 10)), id="struct"),
+])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_take_numpy_and_struct_integers(entry, topology):
+    assert fsm.layer_sizes(topology) == (784, 500, 10)
+    results = [ENTRY_POINTS[entry](t) for t in (topology, (784, 500, 10))]
+    if entry == "DbnModel":
+        results = [(model.topology, model.fingerprint()) for model in results]
+    assert results[0] == results[1]
 
 
 def test_parse_topology():
