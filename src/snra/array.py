@@ -138,6 +138,10 @@ class RbmArray:
         each row of a block; no sampling."""
         return self.neuron.probability(self._net_hidden(v))
 
+    def probabilities_backward(self, h):
+        """Per-visible-unit firing probabilities of a hidden vector; no sampling."""
+        return self.neuron.probability(self._net_visible(h))
+
     def apply_frame(self, frame):
         """Apply one signal frame to the grid.  Read frames change nothing."""
         if frame.rwl:

@@ -103,6 +103,8 @@ class SynapseGrid:
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
                  delta_d=1):
+        n_visible = integer_setting(n_visible, "n_visible")
+        n_hidden = integer_setting(n_hidden, "n_hidden")
         if n_visible < 1 or n_hidden < 1:
             raise DimensionError("grid needs at least one visible and one hidden line")
         levels = integer_setting(levels, "levels")
@@ -113,8 +115,8 @@ class SynapseGrid:
             raise ValueError("weight bounds must be finite with w_min < w_max")
         if delta_d < 1:
             raise ValueError(f"delta_d must be a positive integer, got {delta_d}")
-        self.n_visible = int(n_visible)
-        self.n_hidden = int(n_hidden)
+        self.n_visible = n_visible
+        self.n_hidden = n_hidden
         self.levels = levels
         self.w_min = float(w_min)
         self.w_max = float(w_max)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .array import SignalFrame, rail_directions
 from .bits import ensure_bits
+from .device import integer_setting
 from .errors import DimensionError, ProtocolError
 
 CLOCK_HZ = 500e6
@@ -71,10 +72,12 @@ class CdFsm:
     """Clock-stepped controller over one RBM array."""
 
     def __init__(self, n_visible, n_hidden):
+        n_visible = integer_setting(n_visible, "n_visible")
+        n_hidden = integer_setting(n_hidden, "n_hidden")
         if n_visible < 1 or n_hidden < 1:
             raise DimensionError("controller needs at least one visible and one hidden unit")
-        self.n_visible = int(n_visible)
-        self.n_hidden = int(n_hidden)
+        self.n_visible = n_visible
+        self.n_hidden = n_hidden
         self.state = State.FEED_FORWARD
         self.counter = 0
         self.clock_count = 0

@@ -1,16 +1,24 @@
-"""Brute-force reference math for small RBM instances.
+"""Reference math for small RBM instances, and the Gibbs chain checked
+against it.
 
-Everything here is dense, exact, and slow by design; it serves as ground
-truth for the hardware-style modules.
+Energies, distributions and CD deltas are dense and exact: they serve as
+ground truth for the hardware-style modules.  The Gibbs chain samples
+through the array itself, on integer register codes.
 """
 
 import numpy as np
 
 from .bits import ensure_bits
+from .device import integer_setting
 from .errors import DimensionError
 
 # Enumeration cap: 2**20 joint states is the largest table kept exact.
 MAX_EXACT_NODES = 20
+
+# Gibbs sweeps per block of uniforms are chosen so that the block's Python
+# copy stays near this many bytes: 32 bytes a float, about 180 bytes a
+# sweep for its two row lists and its joint state.
+_BLOCK_BYTES = 1 << 20
 
 
 class DenseRbm:
@@ -102,6 +110,25 @@ def tv_distance(p, q):
     return 0.5 * float(np.abs(p - q).sum())
 
 
+class _ConditionalRows(dict):
+    """Firing probabilities of one layer by the register code of the other.
+
+    A missing code is read through ``read`` once, on its first lookup, from
+    that code's bits (bit k of the code is unit k, as in joint_index), and
+    kept as ``[(p_k, 1 << k), ...]`` over the units being sampled.
+    """
+
+    def __init__(self, read, width):
+        super().__init__()
+        self.read = read
+        self.shifts = np.arange(width)
+
+    def __missing__(self, code):
+        bits = ((code >> self.shifts) & 1).astype(np.uint8)
+        row = self[code] = [(p, 1 << k) for k, p in enumerate(self.read(bits).tolist())]
+        return row
+
+
 def gibbs_joint_counts(array, sweeps, rng):
     """Visit counts of (v, h) joint states along an alternating Gibbs chain.
 
@@ -109,19 +136,48 @@ def gibbs_joint_counts(array, sweeps, rng):
     through the array; the recorded pair (v, h) is one draw from the chain
     whose stationary law is the Boltzmann distribution.  Index layout
     matches joint_index.
+
+    The counts, and the state ``rng`` is left in, equal those of sampling
+    each sweep with ``array.forward`` then ``array.backward``, bit for bit:
+
+    * a code's probabilities come from ``probabilities_forward`` or
+      ``probabilities_backward`` of its bits, the same 1-D net and sigmoid
+      that ``forward`` and ``backward`` compute, read once per code;
+    * the uniforms come in blocks of ``rng.random((k, n_hidden + n_visible))``,
+      which a Generator fills in row-major order, so row t holds sweep t's
+      n_hidden draws for h, then its n_visible draws for v;
+    * a unit fires iff its uniform is below its probability, the rule of
+      ``PBit.sample_net``.
+
+    Memory is bounded by the block size and the codes visited, not by
+    ``sweeps``.
     """
+    sweeps = integer_setting(sweeps, "sweeps")
+    if sweeps < 0:
+        raise ValueError(f"sweeps must not be negative, got {sweeps}")
     n_v, n_h = array.n_visible, array.n_hidden
     if n_v + n_h > MAX_EXACT_NODES:
         raise ValueError(
             f"joint-state counting limited to {MAX_EXACT_NODES} total nodes")
     counts = np.zeros(1 << (n_v + n_h), dtype=np.int64)
-    v = np.zeros(n_v, dtype=np.uint8)
-    pow_v = 1 << np.arange(n_v, dtype=np.int64)
-    pow_h = 1 << np.arange(n_h, dtype=np.int64)
-    for _ in range(sweeps):
-        h = array.forward(v, rng)
-        counts[int(v @ pow_v) + (int(h @ pow_h) << n_v)] += 1
-        v = array.backward(h, rng)
+    hidden_rows = _ConditionalRows(array.probabilities_forward, n_v)
+    visible_rows = _ConditionalRows(array.probabilities_backward, n_h)
+    block = max(1, _BLOCK_BYTES // (32 * (n_v + n_h) + 180))
+    v = 0
+    for start in range(0, sweeps, block):
+        uniforms = rng.random((min(block, sweeps - start), n_h + n_v))
+        joint = []
+        for u_h, u_v in zip(uniforms[:, :n_h].tolist(), uniforms[:, n_h:].tolist()):
+            h = 0
+            for u, (p, bit) in zip(u_h, hidden_rows[v]):
+                if u < p:
+                    h |= bit
+            joint.append(v | h << n_v)
+            v = 0
+            for u, (p, bit) in zip(u_v, visible_rows[h]):
+                if u < p:
+                    v |= bit
+        np.add.at(counts, joint, 1)
     return counts
 
 

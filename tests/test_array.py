@@ -146,6 +146,35 @@ class TestSampling:
         expected = 1 / (1 + np.exp(-net))
         assert np.allclose(crossbar.probabilities_forward(v), expected)
 
+    def test_probabilities_backward_match_manual_net(self):
+        rng = np.random.default_rng(7)
+        grid = SynapseGrid.uniform_random(4, 3, rng)
+        crossbar = RbmArray(grid)
+        h = np.array([1, 0, 1], dtype=np.uint8)
+        net = grid.weights() @ h + grid.visible_bias()
+        assert np.allclose(crossbar.probabilities_backward(h), 1 / (1 + np.exp(-net)))
+        bare = RbmArray(grid, use_biases=False)
+        assert np.allclose(bare.probabilities_backward(h), 1 / (1 + np.exp(-(grid.weights() @ h))))
+        with pytest.raises(DimensionError):
+            crossbar.probabilities_backward([1, 0])
+        with pytest.raises(ValueError):
+            crossbar.probabilities_backward([1, 0, 2])
+
+    def test_samples_fire_below_their_probabilities(self):
+        # forward and backward draw rng.random(n) and fire where the uniform
+        # is below the probability read without sampling, bit for bit.
+        rng = np.random.default_rng(8)
+        crossbar = RbmArray(SynapseGrid.uniform_random(3, 2, rng), PBit(input_scale=0.5))
+        for code in range(8):
+            v = np.array([(code >> k) & 1 for k in range(3)], dtype=np.uint8)
+            h = v[:2]
+            draws = np.random.default_rng(code)
+            p_h = crossbar.probabilities_forward(v)
+            p_v = crossbar.probabilities_backward(h)
+            sampler = np.random.default_rng(code)
+            assert crossbar.forward(v, sampler).tolist() == (draws.random(2) < p_h).tolist()
+            assert crossbar.backward(h, sampler).tolist() == (draws.random(3) < p_v).tolist()
+
     def test_biases_can_be_disabled(self):
         rng = np.random.default_rng(6)
         grid = SynapseGrid.uniform_random(3, 2, rng)

@@ -408,10 +408,20 @@ class TestSynapseGrid:
             SynapseGrid(2, 2, states=[[0, 0], [0, 0]])
 
     @pytest.mark.parametrize("setting", [
-        {"levels": 2.9}, {"delta_d": 1.5}, {"levels": np.float64(32.0)}, {"delta_d": "1"}])
+        {"levels": 2.9}, {"delta_d": 1.5}, {"levels": np.float64(32.0)}, {"delta_d": "1"},
+        {"n_visible": 2.5, "n_hidden": 2.9}, {"n_hidden": 3.0},
+        {"n_visible": np.float64(2.0)}, {"n_visible": "2"}])
     def test_non_integer_settings_rejected(self, setting):
         with pytest.raises(ValueError, match="must be an integer"):
-            SynapseGrid(2, 2, **setting)
+            SynapseGrid(**{"n_visible": 2, "n_hidden": 2, **setting})
+
+    def test_line_counts(self):
+        grid = SynapseGrid(np.int64(2), np.uint8(3))
+        assert (grid.n_visible, grid.n_hidden) == (2, 3)
+        assert type(grid.n_visible) is int and grid.states.shape == (2, 3)
+        for lines in ((0, 2), (2, 0), (-1, 3)):
+            with pytest.raises(DimensionError):
+                SynapseGrid(*lines)
 
     def test_load_states_validation(self):
         grid = SynapseGrid(2, 2, levels=4)

@@ -61,6 +61,10 @@ class TestStateMachine:
     def test_size_validation(self):
         with pytest.raises(DimensionError):
             CdFsm(0, 2)
+        for sizes in ((2.5, 3.7), (2, 3.0), ("2", 3)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                CdFsm(*sizes)
+        assert (CdFsm(np.int64(2), 3).n_visible, CdFsm(2, np.int64(3)).n_hidden) == (2, 3)
         fsm = CdFsm(3, 2)
         with pytest.raises(DimensionError):
             fsm.step(make_array(2, 2), [1, 0, 1], np.random.default_rng(0))

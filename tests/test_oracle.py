@@ -6,11 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snra.array import RbmArray
-from snra.device import SynapseGrid
+from snra.device import PBit, SynapseGrid
 from snra.errors import DimensionError
 from snra.oracle import (MAX_EXACT_NODES, DenseRbm, cd_delta, energy,
                          exact_distribution, gibbs_joint_counts, joint_index,
                          tv_distance)
+
+
+def reference_chain(array, sweeps, rng):
+    """The chain sampled one sweep at a time through forward and backward."""
+    n_v, n_h = array.n_visible, array.n_hidden
+    counts = np.zeros(1 << (n_v + n_h), dtype=np.int64)
+    v = np.zeros(n_v, dtype=np.uint8)
+    pow_v = 1 << np.arange(n_v, dtype=np.int64)
+    pow_h = 1 << np.arange(n_h, dtype=np.int64)
+    for _ in range(sweeps):
+        h = array.forward(v, rng)
+        counts[int(v @ pow_v) + (int(h @ pow_h) << n_v)] += 1
+        v = array.backward(h, rng)
+    return counts
+
+
+class RecordingRng:
+    """Generator stand-in that records the shape of each block of uniforms."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def random(self, size=None):
+        self.shapes.append(size)
+        return self.rng.random(size)
 
 
 def random_rbm(rng, n_v=3, n_h=2):
@@ -145,15 +171,98 @@ class TestTvDistance:
 
 
 class TestGibbsChain:
+    # A p-bit Gibbs chain samples the Boltzmann law (Camsari et al., PRX 7,
+    # 031014, 2017).  0.08 is the benchmark's bound for 20 000 sweeps of a
+    # 4x3 grid; the chains below read 0.02-0.04 against their own law and
+    # 0.15-0.42 against the law of the same grid read the other way.
+    TV_BOUND = 0.08
+
     def test_matches_exact_distribution(self):
-        # A p-bit Gibbs chain samples the Boltzmann law (Camsari et al.,
-        # PRX 7, 031014, 2017); 0.08 is the benchmark's bound for 4x3.
         rng = np.random.default_rng(1)
         grid = SynapseGrid.uniform_random(4, 3, rng)
         counts = gibbs_joint_counts(RbmArray(grid), 20000, rng)
         assert counts.sum() == 20000
         exact = exact_distribution(DenseRbm.from_grid(grid))
-        assert tv_distance(counts / counts.sum(), exact) < 0.08
+        assert tv_distance(counts / counts.sum(), exact) < self.TV_BOUND
+
+    def test_input_scale_scales_the_law(self):
+        # P(h_j = 1 | v) = sigmoid(s * net) is the conditional of the RBM
+        # whose weights and biases are all scaled by s.
+        rng = np.random.default_rng(2)
+        grid = SynapseGrid.uniform_random(4, 3, rng)
+        counts = gibbs_joint_counts(RbmArray(grid, PBit(input_scale=0.5)), 20000, rng)
+        rbm = DenseRbm.from_grid(grid)
+        scaled = DenseRbm(0.5 * rbm.weights, 0.5 * rbm.visible_bias, 0.5 * rbm.hidden_bias)
+        freq = counts / counts.sum()
+        assert tv_distance(freq, exact_distribution(scaled)) < self.TV_BOUND
+        assert tv_distance(freq, exact_distribution(rbm)) > self.TV_BOUND
+
+    def test_chain_without_biases_ignores_bias_devices(self):
+        rng = np.random.default_rng(3)
+        grid = SynapseGrid.uniform_random(4, 3, rng)
+        counts = gibbs_joint_counts(RbmArray(grid, use_biases=False), 20000, rng)
+        rbm = DenseRbm.from_grid(grid)
+        freq = counts / counts.sum()
+        assert tv_distance(freq, exact_distribution(DenseRbm(rbm.weights))) < self.TV_BOUND
+        assert tv_distance(freq, exact_distribution(rbm)) > self.TV_BOUND
+
+    @pytest.mark.parametrize("shape, sweeps, kwargs", [
+        ((1, 1), 3000, {}),
+        ((4, 3), 3000, {}),
+        ((3, 7), 2000, {}),
+        ((10, 10), 1500, {}),
+        ((MAX_EXACT_NODES - 1, 1), 1500, {}),
+        ((1, MAX_EXACT_NODES - 1), 1500, {}),
+        ((4, 3), 2000, {"neuron": PBit(input_scale=0.5)}),
+        ((4, 3), 2000, {"use_biases": False}),
+    ], ids=["1x1", "4x3", "3x7", "10x10", "19x1", "1x19", "4x3-scale0.5", "4x3-no-biases"])
+    def test_equals_reference_chain(self, shape, sweeps, kwargs):
+        grid = SynapseGrid.uniform_random(*shape, np.random.default_rng(4))
+        crossbar = RbmArray(grid, **kwargs)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(gibbs_joint_counts(crossbar, sweeps, rng),
+                              reference_chain(crossbar, sweeps, ref))
+        assert rng.random() == ref.random()
+
+    def test_equals_reference_chain_across_blocks(self):
+        grid = SynapseGrid.uniform_random(4, 3, np.random.default_rng(6))
+        crossbar = RbmArray(grid)
+        rng, ref = RecordingRng(7), np.random.default_rng(7)
+        counts = gibbs_joint_counts(crossbar, 10000, rng)
+        assert np.array_equal(counts, reference_chain(crossbar, 10000, ref))
+        assert rng.random() == ref.random()
+        # Several blocks of uniforms, each one row per sweep.
+        blocks = rng.shapes[:-1]
+        assert len(blocks) > 1
+        assert all(cols == 7 for _, cols in blocks)
+        assert sum(rows for rows, _ in blocks) == 10000
+
+    def test_consecutive_calls_share_the_rng(self):
+        grid = SynapseGrid.uniform_random(4, 3, np.random.default_rng(8))
+        crossbar = RbmArray(grid)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for sweeps in (700, 1, 1300):
+            assert np.array_equal(gibbs_joint_counts(crossbar, sweeps, rng),
+                                  reference_chain(crossbar, sweeps, ref))
+        assert rng.random() == ref.random()
+
+    def test_sweep_count_validation(self):
+        crossbar = RbmArray(SynapseGrid(2, 2))
+        rng = np.random.default_rng(10)
+        for sweeps in (-5, 2.5, "3"):
+            with pytest.raises(ValueError, match="sweeps"):
+                gibbs_joint_counts(crossbar, sweeps, rng)
+        before = rng.random()
+        rng = np.random.default_rng(10)
+        counts = gibbs_joint_counts(crossbar, 0, rng)
+        assert counts.shape == (16,) and not counts.any()
+        assert rng.random() == before
+        assert gibbs_joint_counts(crossbar, np.int64(3), rng).sum() == 3
+
+    def test_size_cap(self):
+        crossbar = RbmArray(SynapseGrid(MAX_EXACT_NODES, 1))
+        with pytest.raises(ValueError):
+            gibbs_joint_counts(crossbar, 1, np.random.default_rng(0))
 
 
 def test_grid_snapshot_ignores_later_writes():
