@@ -1,13 +1,45 @@
-"""Bit-vector helpers.
+"""Bit-vector helpers, and the package's one rule for integers.
 
 Bit vectors are numpy uint8 arrays of 0/1 values where index 0 is the
 least significant bit.  String renderings put the most significant bit
 first, so ``bits_from_string("0101")`` yields ``[1, 0, 1, 0]``.
+
+Every count, setting, label and sample index a caller hands in goes
+through ``integer_setting``, and every array of labels, state indices or
+pulse directions through ``integer_array``: a float, string or other
+non-integer is rejected with ``ValueError``, never truncated, and so is a
+value out of range.  Line indices into a grid keep their own checks.
 """
+
+import operator
 
 import numpy as np
 
 from .errors import DimensionError
+
+
+def integer_setting(value, name, low=0, high=None):
+    """``value`` as an int in [low, high] (no upper bound when ``high`` is
+    None); a float, string or other non-integer is rejected, never truncated."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < low or high is not None and number > high:
+        span = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {span}, got {number}")
+    return number
+
+
+def integer_array(values, name, bound=None):
+    """``values`` as an integer array, rejected before any cast could
+    truncate it; with ``bound``, every entry must lie in [0, bound)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iub":
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise ValueError(f"{name} must lie in [0, {bound - 1}]")
+    return arr
 
 
 def ensure_bits(values, length=None, name="bit vector"):
@@ -21,11 +53,7 @@ def ensure_bits(values, length=None, name="bit vector"):
         if arr.size and arr.max() > 1:
             raise ValueError(f"{name} entries must be 0 or 1")
         return arr
-    if arr.dtype.kind not in "iub":
-        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) > 1):
-        raise ValueError(f"{name} entries must be 0 or 1")
-    return arr.astype(np.uint8)
+    return integer_array(arr, name, 2).astype(np.uint8)
 
 
 def bits_from_string(text, name="bit string"):

@@ -170,7 +170,7 @@ def main(argv=None):
         return 0 if not exc.code else 1
     try:
         return args.handler(args)
-    except (SnraError, FileNotFoundError, OSError, ValueError) as exc:
+    except (SnraError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - last-resort diagnostic

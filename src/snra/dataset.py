@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ensure_bits
+from .bits import ensure_bits, integer_array, integer_setting
 from .errors import (BadMagicError, CountMismatchError, DimensionError,
                      IdxFormatError, TruncatedFileError)
 
@@ -37,15 +37,12 @@ class LabeledBitSet:
             raise DimensionError(f"images must be 2-D, got shape {images.shape}")
         self.images = ensure_bits(images.reshape(-1), name="image pixels").reshape(images.shape)
         labels = np.asarray(self.labels)
+        if labels.shape != (len(self),):
+            raise DimensionError(f"{len(self)} images but {labels.size} labels")
         # An empty list arrives as float64 and holds nothing to truncate.
-        if labels.size and labels.dtype.kind not in "iub":
-            raise ValueError(f"labels must hold integers, got dtype {labels.dtype}")
+        if labels.size:
+            labels = integer_array(labels, "labels", self.n_classes)
         self.labels = labels.astype(np.int64)
-        if self.labels.shape != (len(self),):
-            raise DimensionError(f"{len(self)} images but {self.labels.size} labels")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.n_classes):
-            raise ValueError(f"labels must lie in [0, {self.n_classes - 1}]")
 
     def __len__(self):
         return self.images.shape[0]
@@ -128,8 +125,7 @@ def load_idx(images_path, labels_path, limit=None):
             f"{images.shape[0]} images in {images_path} but "
             f"{labels.shape[0]} labels in {labels_path}")
     if limit is not None:
-        if limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
+        limit = integer_setting(limit, "limit")
         images = images[:limit]
         labels = labels[:limit]
     if labels.size and labels.max() > 9:

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array import RbmArray
-from .bits import ensure_bits
+from .bits import ensure_bits, integer_setting
 from .dataset import LabeledBitSet
-from .device import PBit, SynapseGrid, integer_setting
+from .device import PBit, SynapseGrid
 from .errors import DimensionError, ModelFormatError
 from .fsm import CLOCK_HZ, CLOCK_PERIOD_S, CdFsm, layer_sizes
 
@@ -67,10 +67,8 @@ def _blocks(count):
 
 
 def one_hot(label, width):
-    if not 0 <= int(label) < width:
-        raise ValueError(f"label {label} outside [0, {width - 1}]")
     bits = np.zeros(width, dtype=np.uint8)
-    bits[int(label)] = 1
+    bits[integer_setting(label, "label", high=width - 1)] = 1
     return bits
 
 
@@ -80,21 +78,13 @@ class DbnModel:
     def __init__(self, topology, rng_seed=1, levels=32, delta_d=1,
                  input_scale=1.0, w_min=-1.0, w_max=1.0, use_biases=True,
                  init=MID_INIT):
-        sizes = layer_sizes(topology)
-        rng_seed = integer_setting(rng_seed, "rng_seed")
-        levels = integer_setting(levels, "levels")
-        delta_d = integer_setting(delta_d, "delta_d")
+        self.topology = sizes = layer_sizes(topology)
         # The model file stores the seed as u64 and levels and delta_d as u16.
-        if not 0 <= rng_seed < 1 << 64:
-            raise ValueError(f"rng_seed must lie in [0, 2**64 - 1], got {rng_seed}")
-        if levels > 0xFFFF or delta_d > 0xFFFF:
-            raise ValueError("levels and delta_d must fit in 16 bits")
+        self.rng_seed = integer_setting(rng_seed, "rng_seed", high=(1 << 64) - 1)
+        self.levels = integer_setting(levels, "levels", low=2, high=0xFFFF)
+        self.delta_d = integer_setting(delta_d, "delta_d", low=1, high=0xFFFF)
         if init not in (MID_INIT, UNIFORM_INIT):
             raise ValueError(f"init must be {MID_INIT!r} or {UNIFORM_INIT!r}")
-        self.topology = sizes
-        self.rng_seed = rng_seed
-        self.levels = levels
-        self.delta_d = delta_d
         self.input_scale = float(input_scale)
         self.w_min = float(w_min)
         self.w_max = float(w_max)
@@ -171,8 +161,7 @@ def greedy_train(model, images, labels, epochs):
     layer up with sampled hidden states; the top layer trains with the
     hidden register clamped to the one-hot label.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
+    epochs = integer_setting(epochs, "epochs")
     images, labels = _check_labeled_data(model, images, labels)
     data = images
     report = TrainingReport()
@@ -235,6 +224,7 @@ def predict(model, image, sample_index=0):
 
     The one-row case of the block read that ``error_rate`` runs.
     """
+    sample_index = integer_setting(sample_index, "sample_index")
     bits = ensure_bits(image, model.topology[0], "image")
     return int(_classify(model, bits[np.newaxis], sample_index)[0])
 

@@ -12,13 +12,17 @@ read-only arrays: the device states are the one way to change a weight.
 The sigmoid is scipy's ``expit``, but scipy is loaded by the first sigmoid
 a neuron computes, not by ``import snra``: commands that sample nothing
 (``snra power``, ``snra trace``) never load it.
+
+Settings, state indices and directions follow the integer rule of ``bits``;
+``line_counts`` applies it to line counts and reports a bad one as a
+``DimensionError``, as ``fsm.layer_sizes`` does a bad topology.
 """
 
 import hashlib
-import operator
 
 import numpy as np
 
+from .bits import integer_array, integer_setting
 from .errors import DimensionError
 
 
@@ -33,21 +37,14 @@ def expit(x):
     return expit(x)
 
 
-def integer_setting(value, name):
-    """``value`` as an int; a float, string or other non-integer is
-    rejected, never truncated."""
+def line_counts(n_visible, n_hidden):
+    """The visible and hidden line counts of a grid or controller, each an
+    integer of at least 1; any bad count raises ``DimensionError``."""
     try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _integers(values, name):
-    """``values`` as an array, rejected before any cast could truncate it."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iub":
-        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-    return arr
+        return (integer_setting(n_visible, "n_visible", low=1),
+                integer_setting(n_hidden, "n_hidden", low=1))
+    except ValueError as exc:
+        raise DimensionError(str(exc)) from None
 
 
 def _line_indices(values, count, name):
@@ -103,24 +100,13 @@ class SynapseGrid:
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
                  delta_d=1):
-        n_visible = integer_setting(n_visible, "n_visible")
-        n_hidden = integer_setting(n_hidden, "n_hidden")
-        if n_visible < 1 or n_hidden < 1:
-            raise DimensionError("grid needs at least one visible and one hidden line")
-        levels = integer_setting(levels, "levels")
-        delta_d = integer_setting(delta_d, "delta_d")
-        if levels < 2:
-            raise ValueError(f"levels must be at least 2, got {levels}")
+        self.n_visible, self.n_hidden = line_counts(n_visible, n_hidden)
+        self.levels = integer_setting(levels, "levels", low=2)
+        self.delta_d = integer_setting(delta_d, "delta_d", low=1)
         if not (np.isfinite(w_min) and np.isfinite(w_max) and w_min < w_max):
             raise ValueError("weight bounds must be finite with w_min < w_max")
-        if delta_d < 1:
-            raise ValueError(f"delta_d must be a positive integer, got {delta_d}")
-        self.n_visible = n_visible
-        self.n_hidden = n_hidden
-        self.levels = levels
         self.w_min = float(w_min)
         self.w_max = float(w_max)
-        self.delta_d = delta_d
         self.pulse_count = 0
         mid = (self.levels - 1) // 2
         shape = (self.n_visible, self.n_hidden)
@@ -213,7 +199,7 @@ class SynapseGrid:
         nonzero direction counts as a pulse, even one that moves nothing.
         """
         cells = states[index]
-        direction = _integers(directions, "directions")
+        direction = integer_array(directions, "directions")
         if direction.shape != cells.shape:
             raise DimensionError(
                 f"directions must have shape {cells.shape}, got {direction.shape}")
@@ -235,11 +221,9 @@ class SynapseGrid:
 
     def _checked_states(self, given, shape):
         # Row-major, so that pulse_block's flat reshape is a view, not a copy.
-        arr = _integers(given, "state indices").astype(np.int64, order="C")
+        arr = integer_array(given, "state indices", self.levels).astype(np.int64, order="C")
         if arr.shape != shape:
             raise DimensionError(f"state array must have shape {shape}, got {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
-            raise ValueError(f"state indices must lie in [0, {self.levels - 1}]")
         return arr
 
     def load_states(self, states, visible_bias_states, hidden_bias_states):

@@ -32,8 +32,8 @@ from enum import IntEnum
 import numpy as np
 
 from .array import SignalFrame, rail_directions
-from .bits import ensure_bits
-from .device import integer_setting
+from .bits import ensure_bits, integer_setting
+from .device import line_counts
 from .errors import DimensionError, ProtocolError
 
 CLOCK_HZ = 500e6
@@ -72,12 +72,7 @@ class CdFsm:
     """Clock-stepped controller over one RBM array."""
 
     def __init__(self, n_visible, n_hidden):
-        n_visible = integer_setting(n_visible, "n_visible")
-        n_hidden = integer_setting(n_hidden, "n_hidden")
-        if n_visible < 1 or n_hidden < 1:
-            raise DimensionError("controller needs at least one visible and one hidden unit")
-        self.n_visible = n_visible
-        self.n_hidden = n_hidden
+        self.n_visible, self.n_hidden = line_counts(n_visible, n_hidden)
         self.state = State.FEED_FORWARD
         self.counter = 0
         self.clock_count = 0
@@ -198,7 +193,7 @@ def train_clock_budget(topology, samples, epochs):
     Each RBM stage costs samples * epochs * (n_hidden + 3) clocks.
     """
     sizes = layer_sizes(topology)
-    if samples < 0 or epochs < 0:
-        raise ValueError("samples and epochs must be non-negative")
+    samples = integer_setting(samples, "samples")
+    epochs = integer_setting(epochs, "epochs")
     clocks = sum(samples * epochs * (n_hidden + 3) for n_hidden in sizes[1:])
     return clocks, clocks * CLOCK_PERIOD_S

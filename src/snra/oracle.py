@@ -8,8 +8,7 @@ through the array itself, on integer register codes.
 
 import numpy as np
 
-from .bits import ensure_bits
-from .device import integer_setting
+from .bits import ensure_bits, integer_setting
 from .errors import DimensionError
 
 # Enumeration cap: 2**20 joint states is the largest table kept exact.
@@ -153,8 +152,6 @@ def gibbs_joint_counts(array, sweeps, rng):
     ``sweeps``.
     """
     sweeps = integer_setting(sweeps, "sweeps")
-    if sweeps < 0:
-        raise ValueError(f"sweeps must not be negative, got {sweeps}")
     n_v, n_h = array.n_visible, array.n_hidden
     if n_v + n_h > MAX_EXACT_NODES:
         raise ValueError(

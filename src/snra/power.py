@@ -191,8 +191,7 @@ def comparison_report(topologies=None, csv_path=None, table=None):
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows)
-    widths = [max(len(cell) for cell in column)
-              for column in zip(header, *rows)] if rows else [len(h) for h in header]
+    widths = [max(len(cell) for cell in column) for column in zip(header, *rows)]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
              for line in [header, *rows]]
     return "\n".join(lines)

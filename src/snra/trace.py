@@ -33,12 +33,6 @@ class TraceStep:
     state: int
     counter: int
 
-    def __eq__(self, other):
-        if not isinstance(other, TraceStep):
-            return NotImplemented
-        return (self.frame == other.frame and int(self.state) == int(other.state)
-                and self.counter == other.counter)
-
 
 def iteration_steps(v, h, v_bar, h_bar):
     """Replay one full CD iteration from known register values.

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snra.bits import bits_from_string, bits_to_string, ensure_bits
+from snra.bits import (bits_from_string, bits_to_string, ensure_bits, integer_array,
+                       integer_setting)
 from snra.errors import DimensionError
 
 
@@ -80,3 +81,24 @@ def test_ensure_bits_validation():
 def test_ensure_bits_accepts_uint8_without_copy():
     arr = np.array([1, 0, 1], dtype=np.uint8)
     assert ensure_bits(arr) is arr
+
+
+def test_integer_setting_bounds():
+    assert integer_setting(np.int64(3), "n", low=3, high=3) == 3
+    assert type(integer_setting(np.uint16(7), "n")) is int
+    assert integer_setting(True, "n") == 1
+    for value, low, high in ((-1, 0, None), (2, 3, None), (4, 0, 3), (-1, 0, 3)):
+        with pytest.raises(ValueError, match="^n must (be at least|lie in)"):
+            integer_setting(value, "n", low, high)
+
+
+def test_integer_array_bounds():
+    assert integer_array(np.array([0, 3], dtype=np.uint64), "a", 4).dtype == np.uint64
+    assert integer_array([True, False], "a", 2).dtype == bool
+    assert integer_array([-7, 9], "a").tolist() == [-7, 9]
+    with pytest.raises(ValueError, match="^a must hold integers"):
+        integer_array([1.0, 2.0], "a")
+    for values in ([0, 4], [-1, 0]):
+        with pytest.raises(ValueError, match=r"^a must lie in \[0, 3\]"):
+            integer_array(values, "a", 4)
+

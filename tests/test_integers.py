@@ -1,0 +1,47 @@
+"""Every entry point that takes a count, index or setting applies the one
+integer rule of ``snra.bits``: no float or string is truncated or parsed,
+and no value out of range is accepted."""
+
+import numpy as np
+import pytest
+from test_dataset import write_idx_pair
+
+from snra import dbn
+from snra.array import RbmArray
+from snra.dataset import load_idx
+from snra.device import SynapseGrid
+from snra.fsm import CdFsm, train_clock_budget
+from snra.oracle import gibbs_joint_counts
+
+
+def integer_entry_points(tmp_path):
+    """Each entry point as a call of one integer argument: the call, the
+    argument's name, and values out of its range."""
+    model = dbn.DbnModel((8, 4, 2), levels=16)
+    images, labels = np.zeros((3, 8), dtype=np.uint8), [0, 1, 0]
+    idx_pair = write_idx_pair(tmp_path, np.zeros((3, 784), dtype=np.uint8), [0, 1, 2])
+    crossbar = RbmArray(SynapseGrid(2, 2))
+    return {
+        "train_clock_budget": (lambda n: train_clock_budget((784, 10), n, 1), "samples", [-1]),
+        "greedy_train": (lambda n: dbn.greedy_train(model, images, labels, n), "epochs", [-1]),
+        "load_idx": (lambda n: load_idx(*idx_pair, limit=n), "limit", [-1]),
+        "one_hot": (lambda n: dbn.one_hot(n, 4), "label", [-1, 4]),
+        "predict": (lambda n: dbn.predict(model, images[0], n), "sample_index", [-1]),
+        "gibbs_joint_counts": (lambda n: gibbs_joint_counts(crossbar, n, np.random.default_rng(0)),
+                               "sweeps", [-1]),
+        "SynapseGrid": (lambda n: SynapseGrid(2, 2, levels=n), "levels", [1, -3]),
+        "CdFsm": (lambda n: CdFsm(2, n), "n_hidden", [0, -1]),
+        "DbnModel": (lambda n: dbn.DbnModel((8, 4, 2), rng_seed=n), "rng_seed", [-1, 1 << 64]),
+    }
+
+
+@pytest.mark.parametrize("entry", ["train_clock_budget", "greedy_train", "load_idx", "one_hot",
+                                   "predict", "gibbs_joint_counts", "SynapseGrid", "CdFsm",
+                                   "DbnModel"])
+def test_integer_arguments_rejected_not_truncated(entry, tmp_path):
+    # A float, even an integral one, or a string is neither truncated nor
+    # parsed, and a count, index or setting out of range is refused.
+    call, name, out_of_range = integer_entry_points(tmp_path)[entry]
+    for value in (2.5, np.float64(2.0), "2", *out_of_range):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(value)

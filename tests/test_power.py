@@ -26,6 +26,12 @@ def test_comparison_rows_meet_the_abstracts_claims():
         assert float(cells["mos_reduction_pct"]) >= 50
 
 
+def test_comparison_report_without_rows_is_its_header():
+    assert power.comparison_report([]) == (
+        "topology  sram_mw  she_mtj_mw  power_reduction_pct  "
+        "sram_mos  she_mtj_mos  she_mtj_mtj  mos_reduction_pct")
+
+
 @pytest.mark.parametrize("tech", ["SRAM", "she_mtj", "tape"])
 def test_technologies_are_looked_up_by_exact_name(tech):
     with pytest.raises(UnknownTechnologyError):
