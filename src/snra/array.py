@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ensure_bits
+from .bits import ensure_bits, integer_setting
 from .device import PBit
 from .errors import DimensionError, ProtocolError
 
@@ -71,9 +71,11 @@ class SignalFrame:
 
     @classmethod
     def write_frame(cls, column, bl, sl, n_hidden):
+        try:
+            column = integer_setting(column, "column", high=n_hidden - 1)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
         wwl = np.zeros(n_hidden, dtype=np.uint8)
-        if not 0 <= column < n_hidden:
-            raise ProtocolError(f"column {column} outside [0, {n_hidden - 1}]")
         wwl[column] = 1
         return cls(0, wwl, bl, sl)
 

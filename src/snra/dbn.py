@@ -58,7 +58,8 @@ _BLOCK_ROWS = 256
 
 def derived_rng(seed, tag, index=0):
     """Deterministic stream for one purpose; disjoint across tags/indices."""
-    return np.random.default_rng([int(seed), int(tag), int(index)])
+    return np.random.default_rng([integer_setting(seed, "seed"), integer_setting(tag, "tag"),
+                                  integer_setting(index, "index")])
 
 
 def _blocks(count):

@@ -4,10 +4,12 @@ The neuron fires with sigmoid probability of its net input.  Synapses hold
 a discrete state index on a uniform weight grid; programming pulses move
 the index up or down and saturate at the grid ends.
 
-The float weights are built once, on their first read, and each write then
-refreshes only the cells it addressed with the same elementwise map, so the
-cached weights always equal a full rebuild bit for bit.  Readers get
+Only the float weight matrix is cached.  It is built on its first read,
+and each block write then refreshes only the cells it addressed with the
+same elementwise map, so it always equals a full rebuild bit for bit; the
+bias floats are mapped from their states on each read.  Readers get
 read-only arrays: the device states are the one way to change a weight.
+The cache is one owned array, so a grid is safe to copy or pickle.
 
 The sigmoid is scipy's ``expit``, but scipy is loaded by the first sigmoid
 a neuron computes, not by ``import snra``: commands that sample nothing
@@ -58,6 +60,11 @@ def _line_indices(values, count, name):
     return arr
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 class PBit:
     """Stochastic binary neuron: P(out = 1) = sigmoid(input_scale * net)."""
 
@@ -93,9 +100,10 @@ class SynapseGrid:
     linearly onto [w_min, w_max].  A programming pulse moves the index by
     delta_d in the commanded direction and clips at the ends; it never
     wraps around.  With an even ``levels`` no index maps to weight 0: the
-    mid index 15 of 32 maps to -1/31.  The float weights follow the pulse
-    methods and ``load_states`` only, so the state arrays are changed
-    through them.
+    mid index 15 of 32 maps to -1/31.  The cached weight matrix follows
+    ``pulse_block`` (``pulse_column`` is its one-column case) and
+    ``load_states`` only, so the state arrays are changed through them;
+    the bias floats are mapped on each read.
     """
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
@@ -116,7 +124,7 @@ class SynapseGrid:
             raise DimensionError(f"cannot allocate a synapse grid of shape {shape}") from None
         self.visible_bias_states = np.full(self.n_visible, mid, dtype=np.int64)
         self.hidden_bias_states = np.full(self.n_hidden, mid, dtype=np.int64)
-        self._cache = {}
+        self._weights = None
 
     @classmethod
     def uniform_random(cls, n_visible, n_hidden, rng, **kwargs):
@@ -137,37 +145,25 @@ class SynapseGrid:
         """Map a state index (or array of them) onto the weight grid."""
         return self.w_min + np.asarray(state_index, dtype=np.float64) * self.weight_step
 
-    def _build(self, name, states):
-        """Cache the read-only float weights of ``states`` on their first read."""
-        cached = self.weight(states).view()
-        cached.flags.writeable = False
-        self._cache[name] = cached
-
     def weights(self):
         """Current weight matrix, shape (n_visible, n_hidden).
 
         A read-only live view: later writes show through it, so a caller
         that keeps the weights across a write copies them.
         """
-        if "w" not in self._cache:
-            self._build("w", self.states)
-        return self._cache["w"]
+        if self._weights is None:
+            self._weights = self.weight(self.states)
+        return _read_only(self._weights.view())
 
     def visible_bias(self):
-        if "vb" not in self._cache:
-            self._build("vb", self.visible_bias_states)
-        return self._cache["vb"]
+        return _read_only(self.weight(self.visible_bias_states))
 
     def hidden_bias(self):
-        if "hb" not in self._cache:
-            self._build("hb", self.hidden_bias_states)
-        return self._cache["hb"]
+        return _read_only(self.weight(self.hidden_bias_states))
 
     def pulse_column(self, column, directions):
         """Pulse every cell of one column; directions in {-1, 0, 1} per row."""
-        if not 0 <= column < self.n_hidden:
-            raise IndexError(f"column {column} outside grid")
-        self._pulse("w", self.states, (slice(None), column), directions)
+        self.pulse_block(np.arange(self.n_visible), [column], np.expand_dims(directions, -1))
 
     def pulse_block(self, rows, cols, directions):
         """Pulse the cells where ``rows`` cross ``cols`` at once.
@@ -181,22 +177,24 @@ class SynapseGrid:
         # The block's flat positions in the row-major states: a 1-D gather
         # and scatter costs about half of a 2-D np.ix_ one.
         positions = np.add.outer(rows * self.n_hidden, cols)
-        self._pulse("w", self.states.reshape(-1), positions, directions)
+        written = self._pulse(self.states.reshape(-1), positions, directions)
+        if self._weights is not None:
+            # The first build's map, so the cache equals a full rebuild.
+            self._weights.reshape(-1)[positions] = self.weight(written)
 
     def pulse_visible_bias(self, directions):
-        self._pulse("vb", self.visible_bias_states, ..., directions)
+        self._pulse(self.visible_bias_states, ..., directions)
 
     def pulse_hidden_bias(self, directions):
-        self._pulse("hb", self.hidden_bias_states, ..., directions)
+        self._pulse(self.hidden_bias_states, ..., directions)
 
-    def _pulse(self, name, states, index, directions):
-        """Move the state indices ``states[index]``; saturates, never wraps.
+    def _pulse(self, states, index, directions):
+        """Move the state indices ``states[index]`` and return the written
+        cells; saturates, never wraps.
 
         The one check of directions, their one widening to int64, and the
-        one refresh of the cached float weights ``name``: the written cells
-        are mapped again with ``weight``, the same elementwise map as the
-        first build, so the cache equals a full rebuild bit for bit.  Every
-        nonzero direction counts as a pulse, even one that moves nothing.
+        pulse count; no float cache is touched here.  Every nonzero
+        direction counts as a pulse, even one that moves nothing.
         """
         cells = states[index]
         direction = integer_array(directions, "directions")
@@ -213,11 +211,7 @@ class SynapseGrid:
         # A fancy index reads a copy, which has to be written back.
         states[index] = cells
         self.pulse_count += int(np.count_nonzero(direction))
-        cached = self._cache.get(name)
-        if cached is not None:
-            # ``index`` addresses ``states``, which may be the flat view of
-            # pulse_block, so the cache is indexed in the same shape.
-            cached.base.reshape(states.shape)[index] = self.weight(cells)
+        return cells
 
     def _checked_states(self, given, shape):
         # Row-major, so that pulse_block's flat reshape is a view, not a copy.
@@ -238,7 +232,7 @@ class SynapseGrid:
                   self._checked_states(visible_bias_states, (self.n_visible,)),
                   self._checked_states(hidden_bias_states, (self.n_hidden,)))
         self.states, self.visible_bias_states, self.hidden_bias_states = loaded
-        self._cache = {}
+        self._weights = None
 
     def fingerprint(self):
         """Digest of the full device state, for change detection in tests."""

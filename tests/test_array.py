@@ -48,8 +48,9 @@ class TestSignalFrame:
             SignalFrame(2, [0], [0], [0])
         with pytest.raises(DimensionError):
             SignalFrame(0, [1], [0, 0], [0])
-        with pytest.raises(ProtocolError):
-            SignalFrame.write_frame(3, [0], [0], 2)
+        for column in (3, 1.0, np.float64(1.0)):
+            with pytest.raises(ProtocolError):
+                SignalFrame.write_frame(column, [0], [0], 2)
 
     def test_equality(self):
         a = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)

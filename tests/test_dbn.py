@@ -1,3 +1,5 @@
+import copy
+import pickle
 import struct
 
 import numpy as np
@@ -37,6 +39,20 @@ class TestSerialization:
         assert copy.fingerprint() == model.fingerprint()
         assert copy.topology == model.topology
         assert dbn.to_bytes(copy) == data
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copied_model_trains_as_a_loaded_one(self, clone):
+        # Training reads the weights, so the copy carries their cache.
+        images, labels = training_set()
+        model = small_model()
+        dbn.greedy_train(model, images, labels, 1)
+        copied, loaded = clone(model), dbn.from_bytes(dbn.to_bytes(model))
+        for trained in (copied, loaded):
+            dbn.greedy_train(trained, images, labels, 1)
+        assert copied.fingerprint() == loaded.fingerprint() != model.fingerprint()
+        for grid in (layer.grid for layer in copied.layers):
+            assert grid.weights().tolist() == grid.weight(grid.states).tolist()
 
     def test_every_truncation_rejected(self):
         data = dbn.to_bytes(small_model())

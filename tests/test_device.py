@@ -251,6 +251,15 @@ class TestSynapseGrid:
             with pytest.raises(IndexError):
                 grid.pulse_column(column, [0, 0])
 
+    @pytest.mark.parametrize("column, directions", [
+        (True, np.ones((2, 1, 3), dtype=np.int64)), (1.0, [1, 1])])
+    def test_non_integer_column_pulses_nothing(self, column, directions):
+        # numpy would read True as a mask selecting every column.
+        grid = SynapseGrid(2, 3)
+        with pytest.raises(ValueError):
+            grid.pulse_column(column, directions)
+        assert grid.pulse_count == 0 and (grid.states == 15).all()
+
     def test_bad_direction(self):
         grid = SynapseGrid(2, 3)
         with pytest.raises(ValueError):

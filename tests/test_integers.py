@@ -32,12 +32,13 @@ def integer_entry_points(tmp_path):
         "SynapseGrid": (lambda n: SynapseGrid(2, 2, levels=n), "levels", [1, -3]),
         "CdFsm": (lambda n: CdFsm(2, n), "n_hidden", [0, -1]),
         "DbnModel": (lambda n: dbn.DbnModel((8, 4, 2), rng_seed=n), "rng_seed", [-1, 1 << 64]),
+        "derived_rng": (lambda n: dbn.derived_rng(1, 3, n), "index", [-1]),
     }
 
 
 @pytest.mark.parametrize("entry", ["train_clock_budget", "greedy_train", "load_idx", "one_hot",
                                    "predict", "gibbs_joint_counts", "SynapseGrid", "CdFsm",
-                                   "DbnModel"])
+                                   "DbnModel", "derived_rng"])
 def test_integer_arguments_rejected_not_truncated(entry, tmp_path):
     # A float, even an integral one, or a string is neither truncated nor
     # parsed, and a count, index or setting out of range is refused.
