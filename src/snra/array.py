@@ -105,24 +105,17 @@ class RbmArray:
         return self.grid.n_hidden
 
     def _net_hidden(self, v):
-        """Hidden nets of a visible vector, or of each row of a block of them:
-        one product with the weights either way."""
+        """Hidden nets of a visible vector, or of each row of a block of them."""
         v = np.asarray(v)
         if v.ndim == 2 and v.shape[1] == self.n_visible:
             v = ensure_bits(v.reshape(-1), name="visible rows").reshape(v.shape)
         else:
             v = ensure_bits(v, self.n_visible, "visible vector")
-        net = v.astype(np.float64) @ self.grid.weights()
-        if self.use_biases:
-            net = net + self.grid.hidden_bias()
-        return net
+        return self.grid.nets(v, self.use_biases)
 
     def _net_visible(self, h):
         h = ensure_bits(h, self.n_hidden, "hidden vector")
-        net = self.grid.weights() @ h.astype(np.float64)
-        if self.use_biases:
-            net = net + self.grid.visible_bias()
-        return net
+        return self.grid.nets(h, self.use_biases, hidden=False)
 
     def forward(self, v, rng):
         """Sample the hidden layer given a visible vector, or given each row

@@ -9,8 +9,8 @@ transfer uses sampled binary states, matching what the hardware links
 actually carry.
 
 Evaluation and layer transfer read the samples in blocks of rows: each
-layer's nets for a whole block come from one product with its weights, so
-the weights are read once per block, not once per sample.  ``predict`` is
+layer's nets for a whole block come from one exact product with its
+device states, read once per block, not once per sample.  ``predict`` is
 the one-row case of the same read.
 
 Random streams are derived from the model seed plus a purpose tag and an
@@ -29,7 +29,7 @@ import numpy as np
 from .array import RbmArray
 from .bits import ensure_bits, integer_setting
 from .dataset import LabeledBitSet
-from .device import PBit, SynapseGrid
+from .device import MAX_LEVELS, PBit, SynapseGrid
 from .errors import DimensionError, ModelFormatError
 from .fsm import CLOCK_HZ, CLOCK_PERIOD_S, CdFsm, layer_sizes
 
@@ -82,7 +82,7 @@ class DbnModel:
         self.topology = sizes = layer_sizes(topology)
         # The model file stores the seed as u64 and levels and delta_d as u16.
         self.rng_seed = integer_setting(rng_seed, "rng_seed", high=(1 << 64) - 1)
-        self.levels = integer_setting(levels, "levels", low=2, high=0xFFFF)
+        self.levels = integer_setting(levels, "levels", low=2, high=MAX_LEVELS)
         self.delta_d = integer_setting(delta_d, "delta_d", low=1, high=0xFFFF)
         if init not in (MID_INIT, UNIFORM_INIT):
             raise ValueError(f"init must be {MID_INIT!r} or {UNIFORM_INIT!r}")

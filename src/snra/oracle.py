@@ -47,13 +47,10 @@ class DenseRbm:
 
     @classmethod
     def from_grid(cls, grid):
-        """Snapshot a quantized synapse grid into real-valued parameters.
-
-        The grid refreshes its float weights in place on every write, so the
-        snapshot copies them.
-        """
-        return cls(grid.weights().copy(), grid.visible_bias().copy(),
-                   grid.hidden_bias().copy())
+        """Snapshot a quantized synapse grid into real-valued parameters:
+        the grid maps each read from its states anew, so later writes to
+        the grid leave the snapshot as it is."""
+        return cls(grid.weights(), grid.visible_bias(), grid.hidden_bias())
 
 
 def energy(rbm, v, h):

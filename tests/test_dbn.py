@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import struct
 
@@ -43,7 +44,7 @@ class TestSerialization:
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
                              ids=["deepcopy", "pickle"])
     def test_copied_model_trains_as_a_loaded_one(self, clone):
-        # Training reads the weights, so the copy carries their cache.
+        # A trained model's copy holds every state array it trains on.
         images, labels = training_set()
         model = small_model()
         dbn.greedy_train(model, images, labels, 1)
@@ -80,7 +81,7 @@ class TestSerialization:
         start = len(header(model.topology)) + 2 * (3 * 2 + 3 + 2) + 2 * position
         data[start:start + 2] = struct.pack("<H", 7)
         grid = model.layers[1].grid
-        arrays = {name: getattr(grid, name).copy()
+        arrays = {name: getattr(grid, name).astype(np.int64)
                   for name in ("states", "visible_bias_states", "hidden_bias_states")}
         arrays[array].reshape(-1)[-1] = 7
         grid.load_states(**arrays)
@@ -115,6 +116,21 @@ class TestSerialization:
         monkeypatch.setattr(dbn, "SynapseGrid", no_grid)
         with pytest.raises(ValueError):
             dbn.DbnModel((2, 1), **config)
+
+    def test_trained_device_state_is_pinned(self):
+        # Digests of this run recorded when the states were stored as int64:
+        # the float64 storage and exact nets leave the device, its
+        # fingerprint and its file byte for byte as they were.
+        data = synthetic_orthogonal(12, 3, 14, noise_flip_prob=0.1, seed=2)
+        model = dbn.DbnModel((12, 6, 3), rng_seed=7, levels=16, init=dbn.UNIFORM_INIT)
+        report = dbn.greedy_train(model, data.images[:40], data.labels[:40], 1)
+        assert [layer.pulses for layer in report.layers] == [940, 338]
+        assert model.fingerprint() == (
+            "8d95c0766f1cd4153504507b9a52459196d227fb8ab1ba2541e467fea42fd9a3/"
+            "dc0c99ef3a4ee24c6f54b5cfdf3bd2bc35c8520e7a299a6524b8f9edb35e0531")
+        assert hashlib.sha256(dbn.to_bytes(model)).hexdigest() == (
+            "ba95f656eb9d1c105cb8ef562a3d722aebbf2cea24587b1222d5cc21e13e481d")
+        assert dbn.error_rate(model, data.images[:40], data.labels[:40]) == 0.7
 
     def test_largest_seed_round_trips(self):
         model = dbn.DbnModel((2, 1), rng_seed=2**64 - 1, levels=0xFFFF, delta_d=0xFFFF)

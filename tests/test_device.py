@@ -3,15 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from snra.device import PBit, SynapseGrid
+from snra.array import RbmArray
+from snra.device import MAX_LEVELS, PBit, SynapseGrid
 from snra.errors import DimensionError
 
 finite_inputs = st.floats(min_value=-50, max_value=50,
@@ -465,3 +467,72 @@ class TestSynapseGrid:
         assert grid.weights().tolist() == [[-1.0, 0.0], [1.0, -1.0]]
         assert grid.visible_bias().tolist() == [1.0, 1.0]
         assert grid.hidden_bias().tolist() == [-1.0, 0.0]
+
+    def test_reads_follow_a_direct_state_write(self):
+        # Nets and weights are read from the states themselves, so a write
+        # made past the pulse methods shows in the next read.
+        grid = SynapseGrid(2, 2, levels=3)
+        crossbar = RbmArray(grid)
+        assert grid.weights()[0, 0] == 0.0
+        before = crossbar.probabilities_forward([1, 0])
+        grid.states[0, 0] = 2
+        assert grid.weights()[0, 0] == 1.0
+        after = crossbar.probabilities_forward([1, 0])
+        assert after[0] > before[0] and after[1] == before[1]
+
+    def test_weights_are_a_snapshot(self):
+        grid = SynapseGrid(2, 2, levels=3)
+        weights = grid.weights()
+        grid.pulse_column(0, [1, 0])
+        assert weights[0, 0] == 0.0 and grid.weights()[0, 0] == 1.0
+
+    def test_levels_stay_where_nets_are_exact(self):
+        assert SynapseGrid(2, 2, levels=MAX_LEVELS).states[0, 0] == (MAX_LEVELS - 1) // 2
+        with pytest.raises(ValueError, match="levels"):
+            SynapseGrid(2, 2, levels=MAX_LEVELS + 1)
+
+    def test_huge_step_saturates(self):
+        grid = SynapseGrid(2, 1, levels=4, delta_d=2**60 + 1)
+        grid.pulse_column(0, [1, -1])
+        assert grid.states.tolist() == [[3.0], [0.0]]
+
+
+def python_nets(grid, columns, bias_states, bits, use_biases):
+    """The nets of one row of bits by the read's formula, with the inner
+    sum over active lines in Python ints; ``columns`` lists the states
+    each net sums over."""
+    active = bits.tolist()
+    lines = sum(active) + use_biases
+    return [grid.weight_step * (sum(compress(column, active)) + use_biases * bias)
+            + grid.w_min * lines
+            for column, bias in zip(columns, bias_states.astype(np.int64).tolist())]
+
+
+class TestExactNets:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, MAX_LEVELS), st.integers(1, 800), st.integers(1, 800),
+           st.booleans(), st.floats(-4.0, 1.0), st.floats(0.01, 5.0),
+           st.integers(0, 2**32 - 1))
+    def test_nets_follow_the_formula_and_blocks_equal_rows(
+            self, levels, n_visible, n_hidden, use_biases, w_min, span, seed):
+        rng = np.random.default_rng(seed)
+        grid = SynapseGrid.uniform_random(n_visible, n_hidden, rng, levels=levels,
+                                          w_min=w_min, w_max=w_min + span)
+        # Rails included: a quarter of the cells sit at the top state.
+        states = grid.states.astype(np.int64)
+        states[rng.random(states.shape) < 0.25] = levels - 1
+        grid.load_states(states, grid.visible_bias_states.astype(np.int64),
+                         grid.hidden_bias_states.astype(np.int64))
+        h = rng.integers(0, 2, n_hidden, dtype=np.uint8)
+        assert grid.nets(h, use_biases, hidden=False).tolist() == python_nets(
+            grid, states.tolist(), grid.visible_bias_states, h, use_biases)
+        columns = states.T.tolist()
+        for rows in (1, 7, 256):
+            block = (rng.random((rows, n_visible)) < rng.random()).astype(np.uint8)
+            nets = grid.nets(block, use_biases)
+            for k in range(rows):
+                row = grid.nets(block[k], use_biases)
+                assert nets[k].tobytes() == row.tobytes()
+                if rows == 7:
+                    assert row.tolist() == python_nets(
+                        grid, columns, grid.hidden_bias_states, block[k], use_biases)

@@ -228,7 +228,8 @@ class TestFusedIteration:
         rng = np.random.default_rng(15)
         grid = SynapseGrid(n_v, n_h, levels=32, delta_d=delta_d)
         grid.load_states(rng.integers(delta_d, 32 - delta_d, (n_v, n_h)),
-                         grid.visible_bias_states, grid.hidden_bias_states)
+                         grid.visible_bias_states.astype(np.int64),
+                         grid.hidden_bias_states.astype(np.int64))
         crossbar = RbmArray(grid)
         fsm = CdFsm(n_v, n_h)
         before = grid.states.copy()
