@@ -104,38 +104,38 @@ class RbmArray:
     def n_hidden(self):
         return self.grid.n_hidden
 
-    def _net_hidden(self, v):
-        """Hidden nets of a visible vector, or of each row of a block of them."""
-        v = np.asarray(v)
-        if v.ndim == 2 and v.shape[1] == self.n_visible:
-            v = ensure_bits(v.reshape(-1), name="visible rows").reshape(v.shape)
+    def _nets(self, bits, hidden=True):
+        """Hidden nets of a visible vector, or of each row of a block of
+        them; with ``hidden`` false, visible nets of hidden bits alike."""
+        width, side = (self.n_visible, "visible") if hidden else (self.n_hidden, "hidden")
+        bits = np.asarray(bits)
+        if bits.ndim == 2 and bits.shape[1] == width:
+            bits = ensure_bits(bits.reshape(-1), name=f"{side} rows").reshape(bits.shape)
         else:
-            v = ensure_bits(v, self.n_visible, "visible vector")
-        return self.grid.nets(v, self.use_biases)
-
-    def _net_visible(self, h):
-        h = ensure_bits(h, self.n_hidden, "hidden vector")
-        return self.grid.nets(h, self.use_biases, hidden=False)
+            bits = ensure_bits(bits, width, f"{side} vector")
+        return self.grid.nets(bits, self.use_biases, hidden)
 
     def forward(self, v, rng):
         """Sample the hidden layer given a visible vector, or given each row
         of a block; n_hidden draws per row, through ``PBit.sample_net``."""
         # Nets built from bounded device weights are finite by construction,
         # so the neuron's validation pass is skipped.
-        return self.neuron.sample_net(self._net_hidden(v), rng)
+        return self.neuron.sample_net(self._nets(v), rng)
 
     def backward(self, h, rng):
-        """Sample the visible layer given a hidden vector; n_visible draws."""
-        return self.neuron.sample_net(self._net_visible(h), rng)
+        """Sample the visible layer given a hidden vector, or given each row
+        of a block; n_visible draws per row, through ``PBit.sample_net``."""
+        return self.neuron.sample_net(self._nets(h, hidden=False), rng)
 
     def probabilities_forward(self, v):
         """Per-hidden-unit firing probabilities of a visible vector, or of
         each row of a block; no sampling."""
-        return self.neuron.probability(self._net_hidden(v))
+        return self.neuron.probability(self._nets(v))
 
     def probabilities_backward(self, h):
-        """Per-visible-unit firing probabilities of a hidden vector; no sampling."""
-        return self.neuron.probability(self._net_visible(h))
+        """Per-visible-unit firing probabilities of a hidden vector, or of
+        each row of a block; no sampling."""
+        return self.neuron.probability(self._nets(h, hidden=False))
 
     def apply_frame(self, frame):
         """Apply one signal frame to the grid.  Read frames change nothing."""

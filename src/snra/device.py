@@ -160,7 +160,7 @@ class SynapseGrid:
 
     def nets(self, bits, use_biases=True, hidden=True):
         """Hidden nets of checked visible bits (a vector, or a block of rows),
-        or with ``hidden`` false visible nets of a hidden vector.  A row reads
+        or with ``hidden`` false visible nets of hidden bits alike.  A row reads
         ``weight_step * (bits @ states + bias_states) + w_min * (lines + 1)``,
         ``lines`` its active bits: the bias cell is one more line, always on,
         unless biases are off.  The sum is exact, so a block's row k equals

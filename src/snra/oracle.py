@@ -3,7 +3,8 @@ against it.
 
 Energies, distributions and CD deltas are dense and exact: they serve as
 ground truth for the hardware-style modules.  The Gibbs chain samples
-through the array itself, on integer register codes.
+through the array itself, on integer register codes, and reads each side's
+conditional table in one block; ``_code_bits`` is the one code decoder.
 """
 
 import numpy as np
@@ -72,9 +73,11 @@ def joint_index(v, h, n_visible):
     return iv + (ih << n_visible)
 
 
-def _all_patterns(width):
-    codes = np.arange(1 << width, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
+def _code_bits(width):
+    """uint8 bits of every ``width``-bit register code, one code per row and
+    bit k in column k, as in joint_index."""
+    codes = np.arange(1 << width, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(codes, axis=1, count=width, bitorder="little")
 
 
 def exact_distribution(rbm):
@@ -87,8 +90,8 @@ def exact_distribution(rbm):
     if total > MAX_EXACT_NODES:
         raise ValueError(
             f"exact enumeration limited to {MAX_EXACT_NODES} total nodes, got {total}")
-    vs = _all_patterns(rbm.n_visible)
-    hs = _all_patterns(rbm.n_hidden)
+    vs = _code_bits(rbm.n_visible).astype(np.float64)
+    hs = _code_bits(rbm.n_hidden).astype(np.float64)
     neg_energy = (vs @ rbm.visible_bias)[:, None] + (hs @ rbm.hidden_bias)[None, :]
     neg_energy = neg_energy + vs @ rbm.weights @ hs.T
     # Subtract the max before exponentiating so the partition sum never overflows.
@@ -106,25 +109,6 @@ def tv_distance(p, q):
     return 0.5 * float(np.abs(p - q).sum())
 
 
-class _ConditionalRows(dict):
-    """Firing probabilities of one layer by the register code of the other.
-
-    A missing code is read through ``read`` once, on its first lookup, from
-    that code's bits (bit k of the code is unit k, as in joint_index), and
-    kept as ``[(p_k, 1 << k), ...]`` over the units being sampled.
-    """
-
-    def __init__(self, read, width):
-        super().__init__()
-        self.read = read
-        self.shifts = np.arange(width)
-
-    def __missing__(self, code):
-        bits = ((code >> self.shifts) & 1).astype(np.uint8)
-        row = self[code] = [(p, 1 << k) for k, p in enumerate(self.read(bits).tolist())]
-        return row
-
-
 def gibbs_joint_counts(array, sweeps, rng):
     """Visit counts of (v, h) joint states along an alternating Gibbs chain.
 
@@ -136,17 +120,17 @@ def gibbs_joint_counts(array, sweeps, rng):
     The counts, and the state ``rng`` is left in, equal those of sampling
     each sweep with ``array.forward`` then ``array.backward``, bit for bit:
 
-    * a code's probabilities come from ``probabilities_forward`` or
-      ``probabilities_backward`` of its bits, the same 1-D net and sigmoid
-      that ``forward`` and ``backward`` compute, read once per code;
+    * each side's table is read once per call, as ``probabilities_forward``
+      or ``probabilities_backward`` of the block ``_code_bits(width)``; nets
+      are exact sums, so row c equals the 1-D read of code c's bits;
     * the uniforms come in blocks of ``rng.random((k, n_hidden + n_visible))``,
       which a Generator fills in row-major order, so row t holds sweep t's
       n_hidden draws for h, then its n_visible draws for v;
     * a unit fires iff its uniform is below its probability, the rule of
       ``PBit.sample_net``.
 
-    Memory is bounded by the block size and the codes visited, not by
-    ``sweeps``.
+    Memory is bounded by the two tables, 2**n_v * n_h + 2**n_h * n_v floats
+    (about 2**19 at most), and the block of uniforms, not by ``sweeps``.
     """
     sweeps = integer_setting(sweeps, "sweeps")
     n_v, n_h = array.n_visible, array.n_hidden
@@ -154,8 +138,11 @@ def gibbs_joint_counts(array, sweeps, rng):
         raise ValueError(
             f"joint-state counting limited to {MAX_EXACT_NODES} total nodes")
     counts = np.zeros(1 << (n_v + n_h), dtype=np.int64)
-    hidden_rows = _ConditionalRows(array.probabilities_forward, n_v)
-    visible_rows = _ConditionalRows(array.probabilities_backward, n_h)
+    # Rows of plain floats, zipped with one list of unit bits, stay small.
+    hidden_rows = array.probabilities_forward(_code_bits(n_v)).tolist()
+    visible_rows = array.probabilities_backward(_code_bits(n_h)).tolist()
+    h_units = [1 << k for k in range(n_h)]
+    v_units = [1 << k for k in range(n_v)]
     block = max(1, _BLOCK_BYTES // (32 * (n_v + n_h) + 180))
     v = 0
     for start in range(0, sweeps, block):
@@ -163,12 +150,12 @@ def gibbs_joint_counts(array, sweeps, rng):
         joint = []
         for u_h, u_v in zip(uniforms[:, :n_h].tolist(), uniforms[:, n_h:].tolist()):
             h = 0
-            for u, (p, bit) in zip(u_h, hidden_rows[v]):
+            for u, p, bit in zip(u_h, hidden_rows[v], h_units):
                 if u < p:
                     h |= bit
             joint.append(v | h << n_v)
             v = 0
-            for u, (p, bit) in zip(u_v, visible_rows[h]):
+            for u, p, bit in zip(u_v, visible_rows[h], v_units):
                 if u < p:
                     v |= bit
         np.add.at(counts, joint, 1)

@@ -3,10 +3,11 @@
 Total power is summed over controller stages as A_i * p_read + I_i *
 p_standby, where A_i and I_i count active and idle LUT-FF pairs.  The
 stage accounting reconstructs the reference utilization table: controller
-size follows the largest RBM of the topology, one stage is counted per
-RBM, and for multi-stage networks one controller's worth of pairs sits
-idle while the (reconfigured) fabric trains the later stages.  Fabrics
-with gated idle storage pay no standby power at all.
+size follows the largest RBM of the topology, a network of n RBMs counts
+max(1, n - 1) active stages, and with n >= 2 one controller's worth of
+pairs sits idle while the (reconfigured) fabric trains the later stages.
+(One stage per RBM would put 784x500x10 at 25.08 mW, not the reference
+14.2 mW.)  Fabrics with gated idle storage pay no standby power at all.
 
 All technology constants and utilization records live in the bundled
 ``data/lut_reference.txt``; nothing numeric is hard-coded here.  Only the
@@ -137,8 +138,9 @@ def load_reference():
 def stage_pairs(topology, table=None):
     """(active, idle) LUT-FF pair counts per controller stage.
 
-    One stage per RBM, each sized by the largest RBM's controller; in
-    multi-stage networks a single resident controller idles alongside.
+    A network of n RBMs has max(1, n - 1) stages, each sized by the largest
+    RBM's controller; with n >= 2 the first also counts one resident
+    controller as idle, so 784x500x10 gives [(1771, 1771)].
     """
     table = table if table is not None else load_reference()
     topology = layer_sizes(topology)

@@ -205,18 +205,22 @@ def parse_vcd(text):
 
 
 def steps_from_vcd(trace):
-    """Rebuild trace steps from a parsed dump (final idle snapshot dropped)."""
+    """Rebuild trace steps from a parsed dump (final idle snapshot dropped);
+    a step it cannot read raises ``ProtocolError`` naming its timestamp."""
     n_visible = trace.width("BL")
     n_hidden = trace.width("WWL")
     steps = []
-    for _, values in trace.snapshots[:-1]:
-        state = int(values["STATE"], 2)
-        counter = int(values["COUNTER"], 2)
-        if values["RWL"] == "1":
-            frame = SignalFrame.read_frame(n_visible, n_hidden)
-        else:
-            frame = SignalFrame(0, bits_from_string(values["WWL"]),
-                                bits_from_string(values["BL"]),
-                                bits_from_string(values["SL"]))
+    for time, values in trace.snapshots[:-1]:
+        try:
+            state = int(values["STATE"], 2)
+            counter = int(values["COUNTER"], 2)
+            if values["RWL"] == "1":
+                frame = SignalFrame.read_frame(n_visible, n_hidden)
+            else:
+                frame = SignalFrame(0, bits_from_string(values["WWL"]),
+                                    bits_from_string(values["BL"]),
+                                    bits_from_string(values["SL"]))
+        except (KeyError, ValueError) as exc:
+            raise ProtocolError(f"unreadable VCD step at #{time}: {exc!r}") from None
         steps.append(TraceStep(frame, state, counter))
     return steps

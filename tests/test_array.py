@@ -176,6 +176,35 @@ class TestSampling:
             assert crossbar.forward(v, sampler).tolist() == (draws.random(2) < p_h).tolist()
             assert crossbar.backward(h, sampler).tolist() == (draws.random(3) < p_v).tolist()
 
+    @pytest.mark.parametrize("use_biases", [True, False])
+    def test_block_reads_equal_row_reads(self, use_biases):
+        # Nets are exact sums, so a block's row k equals row k read alone,
+        # bit for bit, on either side.
+        rng = np.random.default_rng(12)
+        crossbar = RbmArray(SynapseGrid.uniform_random(9, 5, rng), use_biases=use_biases)
+        vs = rng.integers(0, 2, (33, 9), dtype=np.uint8)
+        hs = rng.integers(0, 2, (33, 5), dtype=np.uint8)
+        p_h = crossbar.probabilities_forward(vs)
+        p_v = crossbar.probabilities_backward(hs)
+        assert p_h.shape == (33, 5) and p_v.shape == (33, 9)
+        for k in range(33):
+            assert p_h[k].tobytes() == crossbar.probabilities_forward(vs[k]).tobytes()
+            assert p_v[k].tobytes() == crossbar.probabilities_backward(hs[k]).tobytes()
+
+    def test_backward_of_a_block_equals_row_by_row(self):
+        rng = np.random.default_rng(13)
+        crossbar = RbmArray(SynapseGrid.uniform_random(6, 4, rng), PBit(input_scale=0.5))
+        hs = rng.integers(0, 2, (50, 4), dtype=np.uint8)
+        sampler, ref = np.random.default_rng(14), np.random.default_rng(14)
+        block = crossbar.backward(hs, sampler)
+        assert block.shape == (50, 6)
+        assert block.tolist() == [crossbar.backward(h, ref).tolist() for h in hs]
+        assert sampler.random() == ref.random()
+        with pytest.raises(DimensionError):
+            crossbar.backward(np.zeros((3, 5), dtype=np.uint8), sampler)
+        with pytest.raises(ValueError):
+            crossbar.probabilities_backward([[1, 0, 2, 0]])
+
     def test_biases_can_be_disabled(self):
         rng = np.random.default_rng(6)
         grid = SynapseGrid.uniform_random(3, 2, rng)

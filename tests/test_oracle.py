@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from snra.array import RbmArray
 from snra.device import PBit, SynapseGrid
 from snra.errors import DimensionError
-from snra.oracle import (MAX_EXACT_NODES, DenseRbm, cd_delta, energy,
+from snra.oracle import (MAX_EXACT_NODES, DenseRbm, _code_bits, cd_delta, energy,
                          exact_distribution, gibbs_joint_counts, joint_index,
                          tv_distance)
 
@@ -128,6 +129,39 @@ class TestExactDistribution:
                 h = [(h_code >> k) & 1 for k in range(2)]
                 assert other[joint_index(v, h, 3)] == pytest.approx(
                     base[joint_index(pv, h, 3)], rel=1e-12)
+
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((4, 3), "fc666ced5a51f234fa0ee8e0a53849b104dc8969e8424b2c4664fe71e9aa33bf"),
+        ((10, 10), "3ecd1942519342b582d432c451c6e3cd5fb05d7b117004f74fe3ca91a9ea6425"),
+        ((19, 1), "9cfb3803f60288bcdbac25ff4701132937da28d291f1cbfe64b7579ff535fc0b"),
+        ((1, 19), "4cb2c2b4035803a78b1fd6f7c3e5b1038c9a2b713a63e0b6ccdd24d0a435c062"),
+    ], ids=["4x3", "10x10", "19x1", "1x19"])
+    def test_grid_distribution_digest(self, shape, digest):
+        # The enumeration's output is pinned bit for bit: a change to how it
+        # decodes codes or orders its products must reproduce these digests.
+        grid = SynapseGrid.uniform_random(*shape, np.random.default_rng(sum(shape)))
+        table = exact_distribution(DenseRbm.from_grid(grid))
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+
+
+class TestCodeBits:
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_every_code(self, width):
+        bits = _code_bits(width)
+        assert bits.dtype == np.uint8 and bits.flags["C_CONTIGUOUS"]
+        codes = np.arange(1 << width)
+        assert np.array_equal(bits, (codes[:, None] >> np.arange(width)) & 1)
+
+    @pytest.mark.parametrize("width", [19, 20])
+    def test_sampled_codes_of_wide_registers(self, width):
+        bits = _code_bits(width)
+        assert bits.shape == (1 << width, width)
+        assert bits.dtype == np.uint8 and bits.flags["C_CONTIGUOUS"]
+        codes = [0, 1, (1 << width) - 1, 0x5A5A5 & ((1 << width) - 1),
+                 *np.random.default_rng(width).integers(0, 1 << width, 64).tolist()]
+        for code in codes:
+            assert bits[code].tolist() == [(code >> k) & 1 for k in range(width)]
 
 
 class TestCdDelta:

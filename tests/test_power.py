@@ -15,6 +15,20 @@ def test_utilization_rows_match_reference_power():
         assert milliwatts == pytest.approx(record.reference_power_mw, rel=0.02)
 
 
+@pytest.mark.parametrize("topology, pairs", [
+    ("784x10", [(51, 0)]),
+    ("784x500x10", [(1771, 1771)]),
+    ("784x800x10", [(2421, 2421)]),
+    ("784x500x500x10", [(1771, 1771), (1771, 0)]),
+    ("784x800x800x10", [(2421, 2421), (2421, 0)]),
+])
+def test_stage_pairs_of_the_reference_rows(topology, pairs):
+    # n RBMs count max(1, n - 1) stages; the first of two or more carries
+    # one idle controller.  One stage per RBM would put 784x500x10 at
+    # 25.08 mW, not the reference 14.2 mW.
+    assert power.stage_pairs(power.parse_topology(topology)) == pairs
+
+
 def test_comparison_rows_meet_the_abstracts_claims():
     # The SHE-MTJ fabric needs over 80% less power and at least 50% fewer
     # MOS devices than the SRAM fabric, for every reference topology.

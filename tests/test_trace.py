@@ -81,6 +81,31 @@ def test_dump_with_two_wwl_bits_set_is_rejected():
         steps_from_vcd(parse_vcd(damaged))
 
 
+def _codes(text):
+    return {var.name: var.code for var in parse_vcd(text).variables}
+
+
+def _state_not_binary(text):
+    code = _codes(text)["STATE"]
+    assert f"b00 {code}\n" in text
+    return text.replace(f"b00 {code}\n", f"bzz {code}\n", 1)
+
+
+def _counter_undeclared(text):
+    code = _codes(text)["COUNTER"]
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.rstrip().endswith((f" {code}", f" COUNTER [1:0] $end")))
+
+
+@pytest.mark.parametrize("damage", [_state_not_binary, _counter_undeclared],
+                         ids=["state-bzz", "counter-undeclared"])
+def test_dump_that_parses_but_holds_no_step_is_rejected(damage):
+    text = damage(write_vcd(iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])))
+    trace = parse_vcd(text)
+    with pytest.raises(ProtocolError, match="#0"):
+        steps_from_vcd(trace)
+
+
 def test_empty_trace_rejected():
     with pytest.raises(ProtocolError):
         write_vcd([])
