@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ensure_bits, integer_setting
+from .bits import ensure_bits, flag_setting, integer_setting
 from .device import PBit
 from .errors import DimensionError, ProtocolError
 
@@ -41,16 +41,19 @@ class SignalFrame:
         sl = ensure_bits(self.sl, name="sl")
         if bl.size != sl.size:
             raise DimensionError("bl and sl must have equal length")
-        if self.rwl == 1:
+        try:
+            rwl = integer_setting(self.rwl, "rwl", high=1)
+        except ValueError:
+            raise ProtocolError(
+                f"rwl must be 1 (read) or 0 (write), got {self.rwl!r}") from None
+        if rwl:
             if wwl.any():
                 raise ProtocolError("read frame requires all wwl low")
             if bl.any() or sl.any():
                 raise ProtocolError("read frame keeps bl/sl released")
-        elif self.rwl == 0:
-            if int(wwl.sum()) != 1:
-                raise ProtocolError("write frame requires exactly one wwl bit set")
-        else:
-            raise ProtocolError(f"rwl must be 1 (read) or 0 (write), got {self.rwl!r}")
+        elif int(wwl.sum()) != 1:
+            raise ProtocolError("write frame requires exactly one wwl bit set")
+        object.__setattr__(self, "rwl", rwl)
         for name, rail in (("wwl", wwl), ("bl", bl), ("sl", sl)):
             rail = rail.copy()
             rail.flags.writeable = False
@@ -94,7 +97,7 @@ class RbmArray:
     def __init__(self, grid, neuron=None, use_biases=True):
         self.grid = grid
         self.neuron = neuron if neuron is not None else PBit()
-        self.use_biases = bool(use_biases)
+        self.use_biases = flag_setting(use_biases, "use_biases")
 
     @property
     def n_visible(self):

@@ -9,8 +9,13 @@ through ``integer_setting``, and every array of labels, state indices or
 pulse directions through ``integer_array``: a float, string or other
 non-integer is rejected with ``ValueError``, never truncated, and so is a
 value out of range.  Line indices into a grid keep their own checks.
+Real-valued settings go through ``real_setting`` and flags through
+``flag_setting``, which reject a string or ``None`` alike, never parsing
+it or reading its truth.
 """
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -29,6 +34,23 @@ def integer_setting(value, name, low=0, high=None):
         span = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
         raise ValueError(f"{name} must {span}, got {number}")
     return number
+
+
+def real_setting(value, name):
+    """``value`` as a finite float: a number, numpy scalar or bool."""
+    try:
+        if isinstance(value, (numbers.Real, np.bool_)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def flag_setting(value, name):
+    """``value`` as a bool: a bool, numpy bool, or integer 0 or 1."""
+    if isinstance(value, (numbers.Integral, np.bool_)) and value in (0, 1):
+        return bool(value)
+    raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def integer_array(values, name, bound=None):

@@ -1,10 +1,13 @@
 """Dataset ingestion: IDX image/label files.
 
-IDX files may be plain or gzip-compressed; compression is detected from
-the two-byte gzip signature, not the file name.
+One reader, ``_read_idx``, checks the header of either file of a pair
+and reads exactly the items it counts.  IDX files may be plain or
+gzip-compressed; compression is detected from the two-byte gzip
+signature, not the file name.
 """
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -89,28 +92,24 @@ def _open_idx(path):
     return open(path, "rb")
 
 
-def _load_images(path):
+def _read_idx(path, magic, what, item_shape, payload):
+    """Read one IDX file of uint8 items: a big-endian u32 header (magic,
+    count, then the sizes of one item) checked against ``magic`` and
+    ``item_shape``, then exactly ``count`` items, as a (count, item size)
+    array.  ``what`` and ``payload`` name the file's parts in errors."""
     with _open_idx(path) as stream:
-        header = _read_exact(stream, 16, path, "image header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IMAGE_MAGIC:
-            raise BadMagicError(f"{path}: image magic {magic}, expected {IMAGE_MAGIC}")
-        if rows != IMAGE_SIDE or cols != IMAGE_SIDE:
-            raise DimensionError(
-                f"{path}: images are {rows}x{cols}, expected {IMAGE_SIDE}x{IMAGE_SIDE}")
-        payload = _read_exact(stream, count * rows * cols, path, "pixel data", last=True)
-    pixels = np.frombuffer(payload, dtype=np.uint8)
-    return pixels.reshape(count, rows * cols)
-
-
-def _load_labels(path):
-    with _open_idx(path) as stream:
-        header = _read_exact(stream, 8, path, "label header")
-        magic, count = struct.unpack(">II", header)
-        if magic != LABEL_MAGIC:
-            raise BadMagicError(f"{path}: label magic {magic}, expected {LABEL_MAGIC}")
-        payload = _read_exact(stream, count, path, "label data", last=True)
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        fields = 2 + len(item_shape)
+        header = _read_exact(stream, 4 * fields, path, f"{what} header")
+        found, count, *shape = struct.unpack(f">{fields}I", header)
+        if found != magic:
+            raise BadMagicError(f"{path}: {what} magic {found}, expected {magic}")
+        if tuple(shape) != item_shape:
+            sizes, wanted = ("x".join(map(str, dims)) for dims in (shape, item_shape))
+            raise DimensionError(f"{path}: {what}s are {sizes}, expected {wanted}")
+        # An explicit item size: numpy cannot infer -1 from a file of 0 items.
+        size = math.prod(item_shape)
+        data = _read_exact(stream, count * size, path, payload, last=True)
+    return np.frombuffer(data, dtype=np.uint8).reshape(count, size)
 
 
 def load_idx(images_path, labels_path, limit=None):
@@ -118,8 +117,9 @@ def load_idx(images_path, labels_path, limit=None):
 
     Each bit is 1 iff its pixel exceeds ``DEFAULT_THRESHOLD``.
     """
-    images = _load_images(images_path)
-    labels = _load_labels(labels_path)
+    images = _read_idx(images_path, IMAGE_MAGIC, "image", (IMAGE_SIDE, IMAGE_SIDE),
+                       "pixel data")
+    labels = _read_idx(labels_path, LABEL_MAGIC, "label", (), "label data")[:, 0]
     if images.shape[0] != labels.shape[0]:
         raise CountMismatchError(
             f"{images.shape[0]} images in {images_path} but "

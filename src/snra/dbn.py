@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array import RbmArray
-from .bits import ensure_bits, integer_setting
+from .bits import ensure_bits, flag_setting, integer_setting, real_setting
 from .dataset import LabeledBitSet
 from .device import MAX_LEVELS, PBit, SynapseGrid
 from .errors import DimensionError, ModelFormatError
@@ -86,10 +86,10 @@ class DbnModel:
         self.delta_d = integer_setting(delta_d, "delta_d", low=1, high=0xFFFF)
         if init not in (MID_INIT, UNIFORM_INIT):
             raise ValueError(f"init must be {MID_INIT!r} or {UNIFORM_INIT!r}")
-        self.input_scale = float(input_scale)
-        self.w_min = float(w_min)
-        self.w_max = float(w_max)
-        self.use_biases = bool(use_biases)
+        self.input_scale = real_setting(input_scale, "input_scale")
+        self.w_min = real_setting(w_min, "w_min")
+        self.w_max = real_setting(w_max, "w_max")
+        self.use_biases = flag_setting(use_biases, "use_biases")
         self.layers = []
         for index, (n_v, n_h) in enumerate(zip(sizes[:-1], sizes[1:])):
             if init == MID_INIT:

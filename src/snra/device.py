@@ -15,16 +15,16 @@ The sigmoid is scipy's ``expit``, but scipy is loaded by the first sigmoid
 a neuron computes, not by ``import snra``: commands that sample nothing
 (``snra power``, ``snra trace``) never load it.
 
-Settings, state indices and directions follow the integer rule of ``bits``;
-``line_counts`` applies it to line counts and reports a bad one as a
-``DimensionError``, as ``fsm.layer_sizes`` does a bad topology.
+Settings, state indices and directions follow the rules of ``bits``;
+``line_counts`` applies its integer rule to line counts and reports a bad
+one as a ``DimensionError``, as ``fsm.layer_sizes`` does a bad topology.
 """
 
 import hashlib
 
 import numpy as np
 
-from .bits import integer_array, integer_setting
+from .bits import integer_array, integer_setting, real_setting
 from .errors import DimensionError
 
 
@@ -69,10 +69,9 @@ class PBit:
     """Stochastic binary neuron: P(out = 1) = sigmoid(input_scale * net)."""
 
     def __init__(self, input_scale=1.0):
-        scale = float(input_scale)
-        if not np.isfinite(scale) or scale <= 0.0:
-            raise ValueError(f"input_scale must be a positive finite number, got {input_scale!r}")
-        self.input_scale = scale
+        self.input_scale = real_setting(input_scale, "input_scale")
+        if self.input_scale <= 0.0:
+            raise ValueError(f"input_scale must be positive, got {input_scale!r}")
 
     def probability(self, net_input):
         """Firing probability for a scalar or vector of net inputs."""
@@ -114,10 +113,10 @@ class SynapseGrid:
         self.n_visible, self.n_hidden = line_counts(n_visible, n_hidden)
         self.levels = integer_setting(levels, "levels", low=2, high=MAX_LEVELS)
         self.delta_d = integer_setting(delta_d, "delta_d", low=1)
-        if not (np.isfinite(w_min) and np.isfinite(w_max) and w_min < w_max):
-            raise ValueError("weight bounds must be finite with w_min < w_max")
-        self.w_min = float(w_min)
-        self.w_max = float(w_max)
+        self.w_min = real_setting(w_min, "w_min")
+        self.w_max = real_setting(w_max, "w_max")
+        if self.w_min >= self.w_max:
+            raise ValueError(f"w_min must be below w_max, got {w_min!r} and {w_max!r}")
         self.pulse_count = 0
         mid = (self.levels - 1) // 2
         shape = (self.n_visible, self.n_hidden)

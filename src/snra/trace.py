@@ -9,12 +9,15 @@ FEED_FORWARD with the counter at 0.  A run of n clocks therefore produces
 n + 1 timestamps.  CLK is drawn toggling once per timestamp as a cadence
 marker.  Vector values are written MSB first, so register element 0 is
 the rightmost character; released bit and source lines are dumped as 'z'.
+Every value is exactly as wide as its declared wire: ``write_vcd`` writes
+no other and ``parse_vcd`` reads no other.
 """
 
 from dataclasses import dataclass
 
 from .array import SignalFrame
 from .bits import bits_from_string, bits_to_string, ensure_bits
+from .device import line_counts
 from .errors import ProtocolError
 from .fsm import CLOCK_PERIOD_S, State, update_frame
 
@@ -43,6 +46,7 @@ def iteration_steps(v, h, v_bar, h_bar):
     """
     v = ensure_bits(v, name="v register")
     h = ensure_bits(h, name="h register")
+    line_counts(v.size, h.size)
     v_bar = ensure_bits(v_bar, v.size, "v_bar register")
     h_bar = ensure_bits(h_bar, h.size, "h_bar register")
     read = SignalFrame.read_frame(v.size, h.size)
@@ -57,68 +61,55 @@ def iteration_steps(v, h, v_bar, h_bar):
     return steps
 
 
-def _counter_width(n_hidden):
-    """Width of the controller's column counter: ceil(log2(n_hidden + 1))."""
-    return int(n_hidden).bit_length()
-
-
-def _step_values(step, n_visible, n_hidden, clk):
+def _step_values(step, clk, counter_width):
+    """One step's wire values as text, in ``_SIGNAL_ORDER``."""
     frame = step.frame
-    released = frame.rwl == 1
-    return {
-        "CLK": clk,
-        "STATE": format(int(step.state), "02b"),
-        "RWL": str(int(frame.rwl)),
-        "WWL": bits_to_string(frame.wwl),
-        "BL": "z" * n_visible if released else bits_to_string(frame.bl),
-        "SL": "z" * n_visible if released else bits_to_string(frame.sl),
-        "COUNTER": format(step.counter, f"0{_counter_width(n_hidden)}b"),
-    }
+    if frame.rwl:
+        bl = sl = "z" * frame.bl.size
+    else:
+        bl, sl = bits_to_string(frame.bl), bits_to_string(frame.sl)
+    return (clk, format(int(step.state), "02b"), str(frame.rwl), bits_to_string(frame.wwl),
+            bl, sl, format(step.counter, f"0{counter_width}b"))
 
 
 def write_vcd(steps, path=None):
-    """Render trace steps as VCD text; optionally write it to a file."""
+    """Render trace steps as VCD text; optionally write it to a file.
+
+    A value of another width than its wire, the wire of an empty register
+    included, raises ``ProtocolError`` before anything is written."""
     if not steps:
         raise ProtocolError("cannot dump an empty trace")
     n_visible = steps[0].frame.bl.size
     n_hidden = steps[0].frame.wwl.size
-    widths = {
-        "CLK": 1,
-        "STATE": 2,
-        "RWL": 1,
-        "WWL": n_hidden,
-        "BL": n_visible,
-        "SL": n_visible,
-        "COUNTER": _counter_width(n_hidden),
-    }
-    ids = dict(zip(_SIGNAL_ORDER, _ID_CODES))
+    # The column counter has ceil(log2(n_hidden + 1)) bits.
+    widths = (1, 2, 1, n_hidden, n_visible, n_visible, n_hidden.bit_length())
+    wires = tuple(zip(_SIGNAL_ORDER, _ID_CODES, widths))
     lines = ["$timescale 1ns $end", "$scope module cd_fsm $end"]
-    for name in _SIGNAL_ORDER:
-        width = widths[name]
+    for name, code, width in wires:
+        if width < 1:
+            raise ProtocolError(f"cannot dump {name} as a wire of 0 bits")
         rng = f" [{width - 1}:0]" if width > 1 else ""
-        lines.append(f"$var wire {width} {ids[name]} {name}{rng} $end")
-    lines.append("$upscope $end")
-    lines.append("$enddefinitions $end")
+        lines.append(f"$var wire {width} {code} {name}{rng} $end")
+    lines += ["$upscope $end", "$enddefinitions $end"]
 
     idle = TraceStep(SignalFrame.read_frame(n_visible, n_hidden), State.FEED_FORWARD, 0)
-    snapshots = [_step_values(step, n_visible, n_hidden, "1" if k % 2 == 0 else "0")
-                 for k, step in enumerate([*steps, idle])]
-    previous = None
-    for k, snapshot in enumerate(snapshots):
+    previous = (None,) * len(wires)
+    for k, step in enumerate([*steps, idle]):
+        values = _step_values(step, "1" if k % 2 == 0 else "0", widths[-1])
         lines.append(f"#{k * _TICKS_PER_CLOCK}")
-        if previous is None:
+        if k == 0:
             lines.append("$dumpvars")
-        for name in _SIGNAL_ORDER:
-            value = snapshot[name]
-            if previous is not None and previous[name] == value:
+        # A value equal to the last one was checked when it was written.
+        for (name, code, width), value, old in zip(wires, values, previous):
+            if value == old:
                 continue
-            if widths[name] == 1:
-                lines.append(f"{value}{ids[name]}")
-            else:
-                lines.append(f"b{value} {ids[name]}")
-        if previous is None:
+            if len(value) != width:
+                raise ProtocolError(f"step {k} gives {name} {len(value)} characters "
+                                    f"for its {width}-bit wire")
+            lines.append(f"{value}{code}" if width == 1 else f"b{value} {code}")
+        if k == 0:
             lines.append("$end")
-        previous = snapshot
+        previous = values
     text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w") as handle:
@@ -155,7 +146,8 @@ def _malformed(number, line):
 def parse_vcd(text):
     """Minimal VCD reader covering the subset this package writes.
 
-    A line it cannot read raises ``ProtocolError`` naming that line.
+    A line it cannot read, a value of another width than its ``$var``
+    included, raises ``ProtocolError`` naming that line.
     """
     lines = enumerate(text.splitlines(), start=1)
     timescale = ""
@@ -174,7 +166,7 @@ def parse_vcd(text):
                                     code=tokens[3]))
         elif tokens[0] == "$enddefinitions":
             break
-    by_code = {var.code: var.name for var in variables}
+    by_code = {var.code: var for var in variables}
     snapshots = []
     current = {}
     time = None
@@ -196,9 +188,10 @@ def parse_vcd(text):
                 raise _malformed(number, line) from None
         else:
             value, code = token[0], token[1:]
-        if code not in by_code:
+        var = by_code.get(code)
+        if var is None or len(value) != var.width:
             raise _malformed(number, line)
-        current[by_code[code]] = value
+        current[var.name] = value
     if time is not None:
         snapshots.append((time, dict(current)))
     return VcdTrace(timescale=timescale, variables=variables, snapshots=snapshots)
@@ -214,7 +207,7 @@ def steps_from_vcd(trace):
         try:
             state = int(values["STATE"], 2)
             counter = int(values["COUNTER"], 2)
-            if values["RWL"] == "1":
+            if int(values["RWL"], 2):
                 frame = SignalFrame.read_frame(n_visible, n_hidden)
             else:
                 frame = SignalFrame(0, bits_from_string(values["WWL"]),

@@ -52,6 +52,17 @@ class TestSignalFrame:
             with pytest.raises(ProtocolError):
                 SignalFrame.write_frame(column, [0], [0], 2)
 
+    def test_non_integer_rwl_rejected(self):
+        # A float is neither truncated nor compared as if it were an integer.
+        with pytest.raises(ProtocolError, match="rwl must be 1"):
+            SignalFrame(1.0, [0, 0], [0, 0], [0, 0])
+        with pytest.raises(ProtocolError, match="rwl must be 1"):
+            SignalFrame(np.float64(0.0), [1, 0], [1, 0], [0, 0])
+        with pytest.raises(ProtocolError, match="rwl must be 1"):
+            SignalFrame("1", [0, 0], [0, 0], [0, 0])
+        frame = SignalFrame(np.int64(0), [1, 0], [1, 0], [0, 0])
+        assert frame.rwl == 0 and type(frame.rwl) is int
+
     def test_equality(self):
         a = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
         b = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)

@@ -109,24 +109,25 @@ class TestLoadIdx:
 
     def test_bad_image_magic(self, tmp_path):
         paths = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2], image_magic=2052)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(BadMagicError, match="image magic 2052, expected 2051$"):
             load_idx(*paths)
 
     def test_bad_label_magic(self, tmp_path):
         paths = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2], label_magic=2051)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(BadMagicError, match="label magic 2051, expected 2049$"):
             load_idx(*paths)
 
     def test_wrong_dimensions(self, tmp_path):
         pixels = np.zeros((2, 196), dtype=np.uint8)
         paths = write_idx_pair(tmp_path, pixels, [1, 2], side=14)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="images are 14x14, expected 28x28$"):
             load_idx(*paths)
 
     def test_truncated_payload(self, tmp_path):
         paths = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2],
                                truncate_images=10)
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(TruncatedFileError,
+                           match="expected 1568 bytes of pixel data, found 1558$"):
             load_idx(*paths)
 
     @pytest.mark.parametrize("compress", [False, True])
@@ -170,8 +171,27 @@ class TestLoadIdx:
         images_path = tmp_path / "broken-idx3-ubyte"
         images_path.write_bytes(b"\x00\x00")
         _, labels_path = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(TruncatedFileError,
+                           match="expected 16 bytes of image header, found 2$"):
             load_idx(images_path, labels_path)
+
+    @pytest.mark.parametrize("cut, message", [
+        (7, "expected 8 bytes of label header, found 3$"),
+        (1, "expected 2 bytes of label data, found 1$")], ids=["header", "data"])
+    def test_truncated_label_file(self, tmp_path, cut, message):
+        images_path, labels_path = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2])
+        labels_path.write_bytes(labels_path.read_bytes()[:-cut])
+        with pytest.raises(TruncatedFileError, match=message):
+            load_idx(images_path, labels_path)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_pair_of_zero_items_loads_empty(self, tmp_path, compress):
+        # numpy cannot infer a (count, -1) shape from 0 items.
+        paths = write_idx_pair(tmp_path, np.zeros((0, 784), dtype=np.uint8), [],
+                               compress=compress)
+        data = load_idx(*paths)
+        assert len(data) == 0 and data.images.shape == (0, 784)
+        assert data.labels.shape == (0,) and data.labels.dtype == np.int64
 
     def test_count_mismatch(self, tmp_path):
         paths = write_idx_pair(tmp_path, two_sample_pixels(), [1, 2, 3])

@@ -1,6 +1,7 @@
 """Every entry point that takes a count, index or setting applies the one
 integer rule of ``snra.bits``: no float or string is truncated or parsed,
-and no value out of range is accepted."""
+and no value out of range is accepted.  Real-valued settings and flags
+parse no string either."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from test_dataset import write_idx_pair
 from snra import dbn
 from snra.array import RbmArray
 from snra.dataset import load_idx
-from snra.device import SynapseGrid
+from snra.device import PBit, SynapseGrid
 from snra.fsm import CdFsm, train_clock_budget
 from snra.oracle import gibbs_joint_counts
 
@@ -34,6 +35,36 @@ def integer_entry_points(tmp_path):
         "DbnModel": (lambda n: dbn.DbnModel((8, 4, 2), rng_seed=n), "rng_seed", [-1, 1 << 64]),
         "derived_rng": (lambda n: dbn.derived_rng(1, 3, n), "index", [-1]),
     }
+
+
+def real_and_flag_entry_points():
+    """Each real-valued setting and flag as a call of that one argument."""
+    grid = SynapseGrid(2, 2)
+    return {
+        "SynapseGrid.w_min": (lambda x: SynapseGrid(2, 2, w_min=x, w_max=5.0), "w_min", -1.0),
+        "SynapseGrid.w_max": (lambda x: SynapseGrid(2, 2, w_max=x), "w_max", 1.0),
+        "PBit": (lambda x: PBit(x), "input_scale", 2.0),
+        "DbnModel.input_scale": (lambda x: dbn.DbnModel((4, 2), input_scale=x),
+                                 "input_scale", 3.0),
+        "DbnModel.w_min": (lambda x: dbn.DbnModel((4, 2), w_min=x, w_max=5.0), "w_min", -1.0),
+        "DbnModel.use_biases": (lambda x: dbn.DbnModel((4, 2), use_biases=x),
+                                "use_biases", False),
+        "RbmArray.use_biases": (lambda x: RbmArray(grid, use_biases=x), "use_biases", False),
+    }
+
+
+@pytest.mark.parametrize("entry", list(real_and_flag_entry_points()))
+def test_real_settings_and_flags_rejected_not_parsed(entry):
+    # A string is not parsed and None is not read by its truth; numbers,
+    # numpy scalars and bools keep working.
+    call, name, good = real_and_flag_entry_points()[entry]
+    bad = ["no", "0", None, 2.5] if isinstance(good, bool) else [str(good), None, [good]]
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(value)
+    for value in ([good, np.bool_(good), int(good), np.int64(good)] if isinstance(good, bool)
+                  else [good, np.float32(good), int(good), np.int64(good)]):
+        call(value)
 
 
 @pytest.mark.parametrize("entry", ["train_clock_budget", "greedy_train", "load_idx", "one_hot",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snra.array import RbmArray
+from snra.array import RbmArray, SignalFrame
 from snra.bits import ensure_bits
 from snra.device import SynapseGrid
 from snra.errors import DimensionError, ProtocolError
@@ -26,13 +26,16 @@ def recorded_iteration(n_visible=5, n_hidden=3, seed=4):
 
 
 def test_recorded_iteration_round_trips_through_vcd():
-    controller, steps = recorded_iteration()
-    assert len(steps) == controller.n_hidden + 3
-    trace = parse_vcd(write_vcd(steps))
-    assert len(trace.snapshots) == len(steps) + 1
-    assert steps_from_vcd(trace) == steps
-    assert steps == iteration_steps(controller.v, controller.h,
-                                    controller.v_bar, controller.h_bar)
+    # The counter wire is 1, 2, 3, 3 and 4 bits wide at these widths.
+    for n_hidden in (3, 1, 4, 7, 8):
+        controller, steps = recorded_iteration(n_hidden=n_hidden)
+        assert len(steps) == controller.n_hidden + 3
+        trace = parse_vcd(write_vcd(steps))
+        assert trace.width("COUNTER") == n_hidden.bit_length()
+        assert len(trace.snapshots) == len(steps) + 1
+        assert steps_from_vcd(trace) == steps
+        assert steps == iteration_steps(controller.v, controller.h,
+                                        controller.v_bar, controller.h_bar)
 
 
 def test_wide_dump_is_byte_identical_to_per_bit_rendering(monkeypatch):
@@ -71,6 +74,47 @@ def test_iteration_steps_checks_its_registers(registers, error):
         iteration_steps(*registers)
 
 
+@pytest.mark.parametrize("empty, count", [("v", "n_visible"), ("h", "n_hidden")],
+                         ids=["v", "h"])
+def test_iteration_steps_rejects_an_empty_register(empty, count):
+    # An empty register would declare a 0-bit wire that no reader accepts.
+    one, none = np.ones(1, np.uint8), np.zeros(0, np.uint8)
+    v, h = (none, one) if empty == "v" else (one, none)
+    with pytest.raises(DimensionError, match=f"^{count} must be at least 1"):
+        iteration_steps(v, h, v, h)
+
+
+def _wider_state(steps):
+    steps[1] = TraceStep(steps[1].frame, 7, 0)
+
+
+def _wider_counter(steps):
+    # Three hidden columns give the counter 2 bits; 4 needs 3.
+    steps[-1] = TraceStep(steps[-1].frame, State.UPDATE, 4)
+
+
+def _narrower_step(steps):
+    steps[2] = TraceStep(SignalFrame.read_frame(2, 2), State.RECONSTRUCT, 0)
+
+
+@pytest.mark.parametrize("damage, wire", [
+    (_wider_state, "STATE"), (_wider_counter, "COUNTER"), (_narrower_step, "WWL")],
+    ids=["state-7", "counter-4", "step-of-another-width"])
+def test_write_vcd_rejects_a_value_of_another_width_than_its_wire(damage, wire, tmp_path):
+    steps = iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])
+    damage(steps)
+    path = tmp_path / "trace.vcd"
+    with pytest.raises(ProtocolError, match=f"{wire} .*-bit wire"):
+        write_vcd(steps, path)
+    assert not path.exists()
+
+
+def test_write_vcd_refuses_a_wire_of_zero_bits():
+    steps = [TraceStep(SignalFrame.read_frame(1, 0), State.FEED_FORWARD, 0)]
+    with pytest.raises(ProtocolError, match="WWL as a wire of 0 bits"):
+        write_vcd(steps)
+
+
 def test_dump_with_two_wwl_bits_set_is_rejected():
     text = write_vcd(iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1]))
     code = next(var.code for var in parse_vcd(text).variables if var.name == "WWL")
@@ -106,6 +150,17 @@ def test_dump_that_parses_but_holds_no_step_is_rejected(damage):
         steps_from_vcd(trace)
 
 
+def test_dump_with_unknown_rwl_is_rejected():
+    # RWL falls from 1 to 0 at the first write clock, #6; an 'x' there is
+    # neither a read nor a write.
+    text = write_vcd(iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1]))
+    code = _codes(text)["RWL"]
+    assert f"#6\n0!\nb11 \"\n0{code}\n" in text
+    damaged = text.replace(f"\n0{code}\n", f"\nx{code}\n", 1)
+    with pytest.raises(ProtocolError, match="#6"):
+        steps_from_vcd(parse_vcd(damaged))
+
+
 def test_empty_trace_rejected():
     with pytest.raises(ProtocolError):
         write_vcd([])
@@ -118,6 +173,10 @@ def test_empty_trace_rejected():
     pytest.param("$var wire z ! CLK $end\n", "line 1", id="bad-width"),
     pytest.param("$var wire 3 ! BL $end\n$enddefinitions $end\n#0\nb101\n", "line 4",
                  id="vector-without-code"),
+    pytest.param("$var wire 2 & BL [1:0] $end\n$enddefinitions $end\n#0\nb101 &\n",
+                 "line 4: 'b101 &'", id="value-wider-than-wire"),
+    pytest.param("$var wire 2 & BL [1:0] $end\n$enddefinitions $end\n#0\n1&\n",
+                 "line 4: '1&'", id="scalar-on-a-vector-wire"),
     pytest.param("", "no variable BL", id="empty"),
 ])
 def test_malformed_vcd_raises_protocol_error(text, message):
