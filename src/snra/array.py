@@ -107,38 +107,27 @@ class RbmArray:
     def n_hidden(self):
         return self.grid.n_hidden
 
-    def _nets(self, bits, hidden=True):
-        """Hidden nets of a visible vector, or of each row of a block of
-        them; with ``hidden`` false, visible nets of hidden bits alike."""
-        width, side = (self.n_visible, "visible") if hidden else (self.n_hidden, "hidden")
-        bits = np.asarray(bits)
-        if bits.ndim == 2 and bits.shape[1] == width:
-            bits = ensure_bits(bits.reshape(-1), name=f"{side} rows").reshape(bits.shape)
-        else:
-            bits = ensure_bits(bits, width, f"{side} vector")
-        return self.grid.nets(bits, self.use_biases, hidden)
-
     def forward(self, v, rng):
         """Sample the hidden layer given a visible vector, or given each row
         of a block; n_hidden draws per row, through ``PBit.sample_net``."""
         # Nets built from bounded device weights are finite by construction,
         # so the neuron's validation pass is skipped.
-        return self.neuron.sample_net(self._nets(v), rng)
+        return self.neuron.sample_net(self.grid.nets(v, self.use_biases), rng)
 
     def backward(self, h, rng):
         """Sample the visible layer given a hidden vector, or given each row
         of a block; n_visible draws per row, through ``PBit.sample_net``."""
-        return self.neuron.sample_net(self._nets(h, hidden=False), rng)
+        return self.neuron.sample_net(self.grid.nets(h, self.use_biases, False), rng)
 
     def probabilities_forward(self, v):
         """Per-hidden-unit firing probabilities of a visible vector, or of
         each row of a block; no sampling."""
-        return self.neuron.probability(self._nets(v))
+        return self.neuron.probability(self.grid.nets(v, self.use_biases))
 
     def probabilities_backward(self, h):
         """Per-visible-unit firing probabilities of a hidden vector, or of
         each row of a block; no sampling."""
-        return self.neuron.probability(self._nets(h, hidden=False))
+        return self.neuron.probability(self.grid.nets(h, self.use_biases, False))
 
     def apply_frame(self, frame):
         """Apply one signal frame to the grid.  Read frames change nothing."""

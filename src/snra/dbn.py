@@ -39,9 +39,10 @@ _FLAG_USE_BIASES = 0x0001
 
 # The model file's fixed fields, little-endian, written and read by the same
 # layouts: magic, format version, layer count; then, after the u32 layer
-# sizes, levels, delta_d, input_scale, w_min, w_max, rng_seed and flags.
+# sizes, the ``DbnModel`` settings of ``_SETTINGS`` and flags.
 _HEADER = struct.Struct("<4sHH")
 _CONFIG = struct.Struct("<HHdddQH")
+_SETTINGS = ("levels", "delta_d", "input_scale", "w_min", "w_max", "rng_seed")
 
 _INIT_TAG = 0
 _TRAIN_TAG = 1
@@ -90,18 +91,14 @@ class DbnModel:
         self.w_min = real_setting(w_min, "w_min")
         self.w_max = real_setting(w_max, "w_max")
         self.use_biases = flag_setting(use_biases, "use_biases")
+        device = dict(levels=self.levels, delta_d=self.delta_d,
+                      w_min=self.w_min, w_max=self.w_max)
         self.layers = []
         for index, (n_v, n_h) in enumerate(zip(sizes[:-1], sizes[1:])):
-            if init == MID_INIT:
-                grid = SynapseGrid(n_v, n_h, levels=self.levels, w_min=self.w_min,
-                                   w_max=self.w_max, delta_d=self.delta_d)
-            else:
-                grid = SynapseGrid.uniform_random(
-                    n_v, n_h, derived_rng(self.rng_seed, _INIT_TAG, index),
-                    levels=self.levels, w_min=self.w_min, w_max=self.w_max,
-                    delta_d=self.delta_d)
-            self.layers.append(RbmArray(grid, PBit(self.input_scale),
-                                        self.use_biases))
+            grid = (SynapseGrid(n_v, n_h, **device) if init == MID_INIT else
+                    SynapseGrid.uniform_random(
+                        n_v, n_h, derived_rng(self.rng_seed, _INIT_TAG, index), **device))
+            self.layers.append(RbmArray(grid, PBit(self.input_scale), self.use_biases))
 
     @property
     def n_classes(self):
@@ -254,8 +251,7 @@ def to_bytes(model):
     flags = _FLAG_USE_BIASES if model.use_biases else 0
     out = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(sizes)),
            struct.pack(f"<{len(sizes)}I", *sizes),
-           _CONFIG.pack(model.levels, model.delta_d, model.input_scale,
-                        model.w_min, model.w_max, model.rng_seed, flags)]
+           _CONFIG.pack(*(getattr(model, name) for name in _SETTINGS), flags)]
     for layer in model.layers:
         grid = layer.grid
         out.append(grid.states.astype("<u2").tobytes(order="C"))
@@ -288,17 +284,15 @@ def from_bytes(data):
         sizes = layer_sizes(sizes)
     except DimensionError as exc:
         raise ModelFormatError(f"corrupt topology: {exc}") from None
-    config, offset = _unpack(_CONFIG, data, offset, "device config")
-    levels, delta_d, input_scale, w_min, w_max, rng_seed, flags = config
+    (*settings, flags), offset = _unpack(_CONFIG, data, offset, "device config")
     payload = 2 * sum(n_v * n_h + n_v + n_h for n_v, n_h in zip(sizes[:-1], sizes[1:]))
     remaining = len(data) - offset
     if remaining != payload:
         raise ModelFormatError(
             f"model payload is {remaining} bytes, topology {sizes} needs {payload}")
     try:
-        model = DbnModel(sizes, rng_seed=rng_seed, levels=levels, delta_d=delta_d,
-                         input_scale=input_scale, w_min=w_min, w_max=w_max,
-                         use_biases=bool(flags & _FLAG_USE_BIASES))
+        model = DbnModel(sizes, use_biases=bool(flags & _FLAG_USE_BIASES),
+                         **dict(zip(_SETTINGS, settings)))
     except ValueError as exc:
         raise ModelFormatError(f"corrupt device config: {exc}") from None
     rest = np.frombuffer(data, dtype="<u2", offset=offset)

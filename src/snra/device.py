@@ -24,7 +24,7 @@ import hashlib
 
 import numpy as np
 
-from .bits import integer_array, integer_setting, real_setting
+from .bits import ensure_bits, integer_array, integer_setting, real_setting
 from .errors import DimensionError
 
 
@@ -158,14 +158,21 @@ class SynapseGrid:
         return _read_only(self.weight(self.hidden_bias_states))
 
     def nets(self, bits, use_biases=True, hidden=True):
-        """Hidden nets of checked visible bits (a vector, or a block of rows),
-        or with ``hidden`` false visible nets of hidden bits alike.  A row reads
+        """Hidden nets of visible bits (a vector, or a block of rows), or with
+        ``hidden`` false visible nets of hidden bits alike; the bits are
+        checked as ``ensure_bits`` checks them.  A row reads
         ``weight_step * (bits @ states + bias_states) + w_min * (lines + 1)``,
         ``lines`` its active bits: the bias cell is one more line, always on,
         unless biases are off.  The sum is exact, so a block's row k equals
         row k read alone, bit for bit."""
-        states, bias_states = ((self.states, self.hidden_bias_states) if hidden
-                               else (self.states.T, self.visible_bias_states))
+        states, bias_states, side = (
+            (self.states, self.hidden_bias_states, "visible") if hidden
+            else (self.states.T, self.visible_bias_states, "hidden"))
+        bits = np.asarray(bits)
+        if bits.ndim == 2 and bits.shape[1] == states.shape[0]:
+            bits = ensure_bits(bits.reshape(-1), name=f"{side} rows").reshape(bits.shape)
+        else:
+            bits = ensure_bits(bits, states.shape[0], f"{side} vector")
         sums = bits @ states
         if use_biases:
             sums += bias_states

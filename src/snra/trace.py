@@ -9,14 +9,14 @@ FEED_FORWARD with the counter at 0.  A run of n clocks therefore produces
 n + 1 timestamps.  CLK is drawn toggling once per timestamp as a cadence
 marker.  Vector values are written MSB first, so register element 0 is
 the rightmost character; released bit and source lines are dumped as 'z'.
-Every value is exactly as wide as its declared wire: ``write_vcd`` writes
-no other and ``parse_vcd`` reads no other.
+Every value is exactly as wide as its wire and holds only 0s and 1s, or 'z'
+on BL and SL: ``write_vcd`` writes no other and ``parse_vcd`` reads no other.
 """
 
 from dataclasses import dataclass
 
 from .array import SignalFrame
-from .bits import bits_from_string, bits_to_string, ensure_bits
+from .bits import bits_from_string, bits_to_string, ensure_bits, integer_setting
 from .device import line_counts
 from .errors import ProtocolError
 from .fsm import CLOCK_PERIOD_S, State, update_frame
@@ -61,22 +61,27 @@ def iteration_steps(v, h, v_bar, h_bar):
     return steps
 
 
-def _step_values(step, clk, counter_width):
-    """One step's wire values as text, in ``_SIGNAL_ORDER``."""
+def _step_values(step, clk, n_hidden):
+    """One step's wire values as text, in ``_SIGNAL_ORDER``; a STATE outside
+    [0, 3] or a COUNTER outside [0, n_hidden] raises ``ValueError``."""
+    width = n_hidden.bit_length()
+    state = integer_setting(step.state, "STATE of the 2-bit wire", high=3)
+    counter = integer_setting(step.counter, f"COUNTER of the {width}-bit wire", high=n_hidden)
     frame = step.frame
     if frame.rwl:
         bl = sl = "z" * frame.bl.size
     else:
         bl, sl = bits_to_string(frame.bl), bits_to_string(frame.sl)
-    return (clk, format(int(step.state), "02b"), str(frame.rwl), bits_to_string(frame.wwl),
-            bl, sl, format(step.counter, f"0{counter_width}b"))
+    return (clk, format(state, "02b"), str(frame.rwl), bits_to_string(frame.wwl),
+            bl, sl, format(counter, f"0{width}b"))
 
 
 def write_vcd(steps, path=None):
     """Render trace steps as VCD text; optionally write it to a file.
 
     A value of another width than its wire, the wire of an empty register
-    included, raises ``ProtocolError`` before anything is written."""
+    included, or a STATE or COUNTER out of range raises ``ProtocolError``
+    before anything is written."""
     if not steps:
         raise ProtocolError("cannot dump an empty trace")
     n_visible = steps[0].frame.bl.size
@@ -95,7 +100,10 @@ def write_vcd(steps, path=None):
     idle = TraceStep(SignalFrame.read_frame(n_visible, n_hidden), State.FEED_FORWARD, 0)
     previous = (None,) * len(wires)
     for k, step in enumerate([*steps, idle]):
-        values = _step_values(step, "1" if k % 2 == 0 else "0", widths[-1])
+        try:
+            values = _step_values(step, "1" if k % 2 == 0 else "0", n_hidden)
+        except ValueError as exc:
+            raise ProtocolError(f"step {k}: {exc}") from None
         lines.append(f"#{k * _TICKS_PER_CLOCK}")
         if k == 0:
             lines.append("$dumpvars")
@@ -146,8 +154,8 @@ def _malformed(number, line):
 def parse_vcd(text):
     """Minimal VCD reader covering the subset this package writes.
 
-    A line it cannot read, a value of another width than its ``$var``
-    included, raises ``ProtocolError`` naming that line.
+    A line it cannot read, a value of another width or other characters
+    than its wire's included, raises ``ProtocolError`` naming that line.
     """
     lines = enumerate(text.splitlines(), start=1)
     timescale = ""
@@ -189,7 +197,8 @@ def parse_vcd(text):
         else:
             value, code = token[0], token[1:]
         var = by_code.get(code)
-        if var is None or len(value) != var.width:
+        if (var is None or len(value) != var.width
+                or value.strip("01z" if var.name in ("BL", "SL") else "01")):
             raise _malformed(number, line)
         current[var.name] = value
     if time is not None:

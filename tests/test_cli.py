@@ -4,6 +4,7 @@ from test_dataset import damage_gzip, write_idx_pair
 from test_device import BLOCK_SCIPY, fail_large_allocations, fresh_python
 
 from snra import cli, dbn
+from snra.dataset import load_idx
 
 
 def run(argv, capsys):
@@ -74,6 +75,31 @@ def train_argv(tmp_path, *extra):
             "--out", str(tmp_path / "model.snra"), *extra]
 
 
+@pytest.mark.parametrize("extra", [["--levels", "0"], ["--epochs", "-1"]],
+                         ids=["levels-0", "epochs--1"])
+def test_out_of_range_flags_exit_1(capsys, tmp_path, extra):
+    code = cli.main(train_argv(tmp_path, *extra))
+    assert code == 1
+    assert f"argument {extra[0]}: expected a" in capsys.readouterr().err
+    assert not (tmp_path / "model.snra").exists()
+
+
+def test_eval_prints_the_error_rate_of_the_trained_model(capsys, tmp_path):
+    assert run(train_argv(tmp_path, "--seed", "4"), capsys)[0] == 0
+    test_dir = tmp_path / "test"
+    test_dir.mkdir()
+    rng = np.random.default_rng(6)
+    images, labels = write_idx_pair(test_dir, rng.integers(0, 2, (9, 784)) * 255,
+                                    rng.integers(0, 2, 9).tolist())
+    model_path = tmp_path / "model.snra"
+    code, out = run(["eval", "--model", str(model_path), "--images", str(images),
+                     "--labels", str(labels)], capsys)
+    assert code == 0
+    data = load_idx(images, labels)
+    rate = dbn.error_rate(dbn.load_model(model_path), data.images, data.labels)
+    assert out == f"error_rate={rate:.4f} ({round(rate * 9)}/9)\n"
+
+
 @pytest.mark.parametrize("extra", [
     ["--seed", str(2**64)],
     ["--levels", "99999999999999999999"],
@@ -125,7 +151,25 @@ def test_trace_register_of_the_wrong_width_exits_1(capsys):
     assert "--v must supply exactly 3 bits" in capsys.readouterr().err
 
 
+TRACE = ["trace", "--visible", "3", "--hidden", "2", "--v", "101", "--h", "01",
+         "--vbar", "011", "--hbar", "10"]
+
+
+def test_trace_to_a_file_writes_what_it_would_print(capsys, tmp_path):
+    code, printed = run(TRACE, capsys)
+    assert code == 0 and printed.startswith("$timescale 1ns $end\n")
+    path = tmp_path / "iteration.vcd"
+    assert run(TRACE + ["--vcd", str(path)], capsys) == (0, "")
+    assert path.read_bytes() == printed.encode()
+
+
 ORACLE = ["oracle", "--visible", "2", "--hidden", "2", "--sweeps", "300"]
+
+
+def test_oracle_past_exact_enumeration_exits_1(capsys):
+    argv = ["oracle", "--visible", "15", "--hidden", "6", "--sweeps", "1"]
+    assert cli.main(argv) == 1
+    assert "visible + hidden must not exceed 20" in capsys.readouterr().err
 
 
 def test_seed_defaults_to_1(capsys):
@@ -155,8 +199,7 @@ def test_import_snra_loads_no_scipy():
 @pytest.mark.parametrize("argv, block_scipy", [
     pytest.param(["power", "--topology", "784x500x10", "--tech", "she-mtj",
                   "--csv", "power.csv"], True, id="power"),
-    pytest.param(["trace", "--visible", "3", "--hidden", "2", "--v", "101", "--h", "01",
-                  "--vbar", "011", "--hbar", "10"], True, id="trace"),
+    pytest.param(TRACE, True, id="trace"),
     pytest.param(ORACLE, False, id="oracle"),
 ])
 def test_fresh_process_matches_in_process(capsys, monkeypatch, tmp_path, argv, block_scipy):

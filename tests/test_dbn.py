@@ -132,6 +132,25 @@ class TestSerialization:
             "ba95f656eb9d1c105cb8ef562a3d722aebbf2cea24587b1222d5cc21e13e481d")
         assert dbn.error_rate(model, data.images[:40], data.labels[:40]) == 0.7
 
+    def test_unknown_init_rejected(self):
+        with pytest.raises(ValueError, match="init must be 'mid' or 'uniform'"):
+            dbn.DbnModel((2, 1), init="x")
+
+    @pytest.mark.parametrize("use_biases", [True, False])
+    def test_every_setting_round_trips_in_the_field_order(self, use_biases):
+        settings = {"levels": 5, "delta_d": 3, "input_scale": 1.5, "w_min": -0.5,
+                    "w_max": 2.0, "rng_seed": 9}
+        model = dbn.DbnModel((3, 2), use_biases=use_biases, init=dbn.UNIFORM_INIT, **settings)
+        data = dbn.to_bytes(model)
+        expected = header((3, 2), levels=5, delta_d=3, input_scale=1.5, w_min=-0.5, w_max=2.0)
+        flags = struct.pack("<QH", 9, int(use_biases))
+        assert data[:len(expected)] == expected[:-len(flags)] + flags
+        copy = dbn.from_bytes(data)
+        assert {name: getattr(copy, name) for name in settings} == settings
+        assert copy.use_biases is use_biases
+        assert copy.fingerprint() == model.fingerprint()
+        assert dbn.to_bytes(copy) == data
+
     def test_largest_seed_round_trips(self):
         model = dbn.DbnModel((2, 1), rng_seed=2**64 - 1, levels=0xFFFF, delta_d=0xFFFF)
         copy = dbn.from_bytes(dbn.to_bytes(model))
@@ -288,6 +307,21 @@ class TestImageValidation:
         with pytest.raises(ValueError):
             dbn.error_rate(model, bad, labels)
         assert model.fingerprint() == small_model().fingerprint()
+
+    @pytest.mark.parametrize("run", [
+        lambda model, images, labels: dbn.greedy_train(model, images, labels, 1),
+        dbn.error_rate])
+    @pytest.mark.parametrize("width", [7, 9])
+    def test_images_of_another_width_rejected(self, run, width):
+        model = small_model()
+        with pytest.raises(DimensionError, match=rf"images must have shape \(n, 8\), "
+                                                 rf"got \(3, {width}\)"):
+            run(model, np.zeros((3, width), dtype=np.uint8), [0, 1, 0])
+        assert model.fingerprint() == small_model().fingerprint()
+
+    def test_error_rate_of_no_images_rejected(self):
+        with pytest.raises(DimensionError, match="at least one image"):
+            dbn.error_rate(small_model(), np.zeros((0, 8), dtype=np.uint8), [])
 
     def test_bool_and_integer_images_accepted(self):
         images, labels = training_set()

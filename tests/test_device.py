@@ -536,3 +536,32 @@ class TestExactNets:
                 if rows == 7:
                     assert row.tolist() == python_nets(
                         grid, columns, grid.hidden_bias_states, block[k], use_biases)
+
+    @pytest.mark.parametrize("bits, hidden, error, message", [
+        ([2, 0, 7], True, ValueError, "visible vector must lie in"),
+        ([1.0, 0.0, 1.0], True, ValueError, "visible vector must hold integers"),
+        ([1, 0], True, DimensionError, "visible vector must have length 3"),
+        ([[1, 0, 2]], True, ValueError, "visible rows must lie in"),
+        ([[1.0, 0.0, 1.0]], True, ValueError, "visible rows must hold integers"),
+        (np.zeros((4, 2), dtype=np.uint8), True, DimensionError,
+         r"visible vector must be one-dimensional, got shape \(4, 2\)"),
+        (np.zeros((1, 2, 3), dtype=np.uint8), True, DimensionError, "one-dimensional"),
+        (np.array([0, 3], dtype=np.uint8), False, ValueError,
+         "hidden vector entries must be 0 or 1"),
+        (np.array([[0, 1], [1, 2]], dtype=np.uint8), False, ValueError,
+         "hidden rows entries must be 0 or 1"),
+        ([1, 0, 1], False, DimensionError, "hidden vector must have length 2"),
+        ([[0.5, 1.0]], False, ValueError, "hidden rows must hold integers"),
+    ], ids=["non-bits", "floats", "short", "non-bit-row", "float-rows", "narrow-block",
+            "3-d", "uint8-non-bit", "uint8-non-bit-row", "long-hidden", "float-hidden-rows"])
+    def test_nets_check_the_bits_they_read(self, bits, hidden, error, message):
+        with pytest.raises(error, match=message):
+            SynapseGrid(3, 2).nets(bits, hidden=hidden)
+
+    def test_nets_take_bool_and_integer_bits_alike(self):
+        grid = SynapseGrid.uniform_random(3, 2, np.random.default_rng(5))
+        bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+        for same in (bits.astype(bool), bits.astype(np.int64), bits.tolist()):
+            assert grid.nets(same).tobytes() == grid.nets(bits).tobytes()
+        assert grid.nets([1, 1], hidden=False).tolist() == grid.nets(
+            np.ones(2, dtype=np.uint8), hidden=False).tolist()

@@ -5,7 +5,7 @@ import pytest
 
 from snra import fsm, power
 from snra.dbn import DbnModel
-from snra.errors import DimensionError, UnknownTechnologyError
+from snra.errors import DimensionError, UnknownTechnologyError, UnknownTopologyError
 
 
 def test_utilization_rows_match_reference_power():
@@ -27,6 +27,20 @@ def test_stage_pairs_of_the_reference_rows(topology, pairs):
     # one idle controller.  One stage per RBM would put 784x500x10 at
     # 25.08 mW, not the reference 14.2 mW.
     assert power.stage_pairs(power.parse_topology(topology)) == pairs
+
+
+def test_unlisted_topology_takes_the_record_of_its_largest_rbm():
+    # 784x500x200x10 is not a reference row; its largest RBM, 784x500, is
+    # that of the 784x500x10 row, whose 1771 pairs it runs over two stages.
+    topology = (784, 500, 200, 10)
+    assert power.load_reference().record_for(topology).topology == (784, 500, 10)
+    assert power.stage_pairs(topology) == [(1771, 1771), (1771, 0)]
+    assert f"{power.topology_power(topology, power.SRAM):.2f}" == "25.08"
+
+
+def test_topology_of_no_reference_rbm_rejected():
+    with pytest.raises(UnknownTopologyError, match=r"784x100x10 \(largest RBM 784x100\)"):
+        power.topology_power((784, 100, 10), power.SRAM)
 
 
 def test_comparison_rows_meet_the_abstracts_claims():

@@ -129,20 +129,13 @@ def _codes(text):
     return {var.name: var.code for var in parse_vcd(text).variables}
 
 
-def _state_not_binary(text):
-    code = _codes(text)["STATE"]
-    assert f"b00 {code}\n" in text
-    return text.replace(f"b00 {code}\n", f"bzz {code}\n", 1)
-
-
 def _counter_undeclared(text):
     code = _codes(text)["COUNTER"]
     return "".join(line for line in text.splitlines(keepends=True)
                    if not line.rstrip().endswith((f" {code}", f" COUNTER [1:0] $end")))
 
 
-@pytest.mark.parametrize("damage", [_state_not_binary, _counter_undeclared],
-                         ids=["state-bzz", "counter-undeclared"])
+@pytest.mark.parametrize("damage", [_counter_undeclared], ids=["counter-undeclared"])
 def test_dump_that_parses_but_holds_no_step_is_rejected(damage):
     text = damage(write_vcd(iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])))
     trace = parse_vcd(text)
@@ -152,13 +145,76 @@ def test_dump_that_parses_but_holds_no_step_is_rejected(damage):
 
 def test_dump_with_unknown_rwl_is_rejected():
     # RWL falls from 1 to 0 at the first write clock, #6; an 'x' there is
-    # neither a read nor a write.
+    # neither a read nor a write, and parse_vcd rejects its line.
     text = write_vcd(iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1]))
     code = _codes(text)["RWL"]
     assert f"#6\n0!\nb11 \"\n0{code}\n" in text
     damaged = text.replace(f"\n0{code}\n", f"\nx{code}\n", 1)
-    with pytest.raises(ProtocolError, match="#6"):
+    with pytest.raises(ProtocolError, match=f"line \\d+: 'x{code}'"):
         steps_from_vcd(parse_vcd(damaged))
+
+
+def _damage_value(text, name, value):
+    """``text`` with the first value dumped on wire ``name`` replaced by
+    ``value``, and the number of the line that held it."""
+    code = _codes(text)[name]
+    lines = text.splitlines(keepends=True)
+    start = lines.index("$enddefinitions $end\n") + 1
+    for number, line in enumerate(lines[start:], start=start + 1):
+        parts = line.split()
+        if len(parts) == 2 and parts[1] == code:
+            lines[number - 1] = f"b{value} {code}\n"
+            return "".join(lines), number
+        if line.strip()[1:] == code:
+            lines[number - 1] = f"{value}{code}\n"
+            return "".join(lines), number
+    raise AssertionError(f"no value of {name} in the dump")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("CLK", "z"), ("STATE", "zz"), ("STATE", "-1"), ("RWL", "x"), ("WWL", "0z1"),
+    ("BL", "x1"), ("SL", "-1"), ("COUNTER", "1z"),
+], ids=["clk-z", "state-bzz", "state-minus-1", "rwl-x", "wwl-z", "bl-x", "sl-minus-1",
+        "counter-z"])
+def test_parse_vcd_rejects_a_character_outside_its_wire(name, value):
+    # Each value keeps its wire's width, so only its characters are wrong.
+    text = write_vcd(iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1]))
+    damaged, number = _damage_value(text, name, value)
+    with pytest.raises(ProtocolError, match=f"line {number}: "):
+        parse_vcd(damaged)
+
+
+@pytest.mark.parametrize("name", ["BL", "SL", "STATE", "WWL", "COUNTER"])
+def test_parse_vcd_reads_a_released_line_only_on_bl_and_sl(name):
+    text = f"$var wire 2 & {name} [1:0] $end\n$enddefinitions $end\n#0\nbz1 &\n"
+    if name in ("BL", "SL"):
+        assert parse_vcd(text).snapshots == [(0, {name: "z1"})]
+    else:
+        with pytest.raises(ProtocolError, match="line 4: 'bz1 &'"):
+            parse_vcd(text)
+
+
+@pytest.mark.parametrize("state, counter", [
+    (-1, 0), (4, 0), (State.UPDATE, -1), (State.UPDATE, 6), (State.UPDATE, 1.0),
+    (State.UPDATE, np.float64(1.0)), ("1", 0), (1.0, 0),
+], ids=["state--1", "state-4", "counter--1", "counter-past-n_hidden", "counter-float",
+        "counter-numpy-float", "state-string", "state-float"])
+def test_write_vcd_rejects_a_register_value_outside_its_range(state, counter, tmp_path):
+    # Five columns count on a 3-bit wire, so 6 has the wire's width but is
+    # no column counter.
+    steps = iteration_steps([1, 0], [1, 0, 1, 0, 1], [0, 1], [0, 1, 1, 0, 0])
+    steps[4] = TraceStep(steps[4].frame, state, counter)
+    path = tmp_path / "trace.vcd"
+    with pytest.raises(ProtocolError, match="^step 4: (STATE|COUNTER) "):
+        write_vcd(steps, path)
+    assert not path.exists()
+
+
+def test_write_vcd_takes_numpy_and_enum_registers():
+    steps = iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])
+    numpy_steps = [TraceStep(step.frame, np.int64(step.state), np.uint8(step.counter))
+                   for step in steps]
+    assert write_vcd(numpy_steps) == write_vcd(steps)
 
 
 def test_empty_trace_rejected():
