@@ -4,12 +4,13 @@ The neuron fires with sigmoid probability of its net input.  Synapses hold
 a discrete state index on a uniform weight grid; programming pulses move
 the index up or down and saturate at the grid ends.
 
-The state indices, stored as float64 integers, are the only copy of a
-weight.  A neuron's net is summed straight from them, as the array sums
-the currents of its active lines: every partial sum is an integer below
-2**53, so it is exact in any order and no net depends on the BLAS kernel,
-its threads or the block size.  Float weights are mapped only when
-``weights()`` or a bias read is called.
+The state indices, stored as float32 or float64 integers, are the only
+copy of a weight.  A neuron's net is summed straight from them, as the
+array sums the currents of its active lines: every partial sum is an
+integer below 2**24 in float32 or 2**53 in float64, so it is exact in
+any order and no net depends on the BLAS kernel, its threads or the
+block size.  Float weights are mapped only when ``weights()`` or a bias
+read is called.
 
 The sigmoid is scipy's ``expit``, but scipy is loaded by the first sigmoid
 a neuron computes, not by ``import snra``: commands that sample nothing
@@ -92,7 +93,7 @@ class PBit:
         return (rng.random(prob.shape) < prob).astype(np.uint8)
 
 
-# A u16 in the model file, and a bound under which every net sums exactly.
+# A u16 in the model file; nets sum exactly at any level count up to it.
 MAX_LEVELS = 0xFFFF
 
 
@@ -104,8 +105,11 @@ class SynapseGrid:
     delta_d in the commanded direction and clips at the ends; it never
     wraps around.  With an even ``levels`` no index maps to weight 0: the
     mid index 15 of 32 maps to -1/31.  The three state arrays hold the
-    indices as C-order float64 integers and are the only record of a
-    weight, so every read sees every change to them.
+    indices as C-order float integers and are the only record of a weight,
+    so every read sees every change to them.  Their dtype, the one record
+    of the choice, is float32 when every net sum (``max(n_visible,
+    n_hidden) + 1`` cells, the bias cell too, of at most ``levels - 1``
+    each) stays below 2**24, where float32 is exact, and float64 otherwise.
     """
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
@@ -120,12 +124,13 @@ class SynapseGrid:
         self.pulse_count = 0
         mid = (self.levels - 1) // 2
         shape = (self.n_visible, self.n_hidden)
+        dtype = np.float32 if (max(shape) + 1) * (self.levels - 1) < 2**24 else np.float64
         try:
-            self.states = np.full(shape, mid, dtype=np.float64)
+            self.states = np.full(shape, mid, dtype=dtype)
         except MemoryError:
             raise DimensionError(f"cannot allocate a synapse grid of shape {shape}") from None
-        self.visible_bias_states = np.full(self.n_visible, mid, dtype=np.float64)
-        self.hidden_bias_states = np.full(self.n_hidden, mid, dtype=np.float64)
+        self.visible_bias_states = np.full(self.n_visible, mid, dtype=dtype)
+        self.hidden_bias_states = np.full(self.n_hidden, mid, dtype=dtype)
 
     @classmethod
     def uniform_random(cls, n_visible, n_hidden, rng, **kwargs):
@@ -176,7 +181,8 @@ class SynapseGrid:
         sums = bits @ states
         if use_biases:
             sums += bias_states
-        sums *= self.weight_step
+        # The exact sums widen to float64 in the scale pass, not a pass of their own.
+        sums = np.multiply(sums, self.weight_step, dtype=np.float64)
         # uint32 counts any row a model file sizes, 2-4x faster than int64.
         lines = np.add.reduce(bits, axis=-1, dtype=np.uint32, keepdims=True,
                               initial=use_biases)
@@ -210,9 +216,11 @@ class SynapseGrid:
     def _pulse(self, states, index, directions):
         """Move the state indices ``states[index]``; saturates, never wraps.
 
-        The one check of directions, their one widening (to float64, where a
-        step too large to be exact saturates), and the pulse count.  Every
-        nonzero direction counts as a pulse, even one that moves nothing.
+        The one check of directions, their one widening (straight to the
+        dtype of the states), and the pulse count.  The step is capped at
+        ``levels - 1``, which saturates exactly as any larger step does, so
+        no step overflows float32.  Every nonzero direction counts as a
+        pulse, even one that moves nothing.
         """
         cells = states[index]
         direction = integer_array(directions, "directions")
@@ -221,7 +229,7 @@ class SynapseGrid:
                 f"directions must have shape {cells.shape}, got {direction.shape}")
         if direction.size and (direction.min() < -1 or direction.max() > 1):
             raise ValueError("directions must be -1, 0, or 1")
-        cells += np.multiply(direction, self.delta_d, dtype=np.float64)
+        cells += np.multiply(direction, min(self.delta_d, self.levels - 1), dtype=cells.dtype)
         # np.minimum and np.maximum clip as np.clip does, without its
         # per-call argument handling, which dominates a small write.
         np.minimum(cells, self.levels - 1, out=cells)
@@ -232,7 +240,8 @@ class SynapseGrid:
 
     def _checked_states(self, given, shape):
         # Row-major, so that pulse_block's flat reshape is a view, not a copy.
-        arr = integer_array(given, "state indices", self.levels).astype(np.float64, order="C")
+        arr = integer_array(given, "state indices", self.levels)
+        arr = arr.astype(self.states.dtype, order="C")
         if arr.shape != shape:
             raise DimensionError(f"state array must have shape {shape}, got {arr.shape}")
         return arr

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from snra import dbn
 from snra.array import RbmArray
 from snra.device import MAX_LEVELS, PBit, SynapseGrid
 from snra.errors import DimensionError
@@ -496,6 +498,33 @@ class TestSynapseGrid:
         grid.pulse_column(0, [1, -1])
         assert grid.states.tolist() == [[3.0], [0.0]]
 
+    @pytest.mark.parametrize("levels", [4, 32, MAX_LEVELS])
+    def test_float32_steps_saturate_as_exact_integer_steps(self, levels):
+        # Cells at both rails, next to them and mid-range, each pulsed down,
+        # not at all and up; the biases up and down.
+        top, mid = levels - 1, (levels - 1) // 2
+        cells = np.array([0, 1, mid, top - 1, top])
+        states = np.repeat(cells[:, None], 3, axis=1)
+        directions = np.tile(np.array([-1, 0, 1], dtype=np.int8), (cells.size, 1))
+        hidden_bias = np.array([0, mid, top])
+        # 10**40 overflows float32 and 10**400 float64, had the step no cap.
+        for delta_d in (levels - 2, levels - 1, levels, 2**60 + 1, 10**40, 10**400):
+            grid = SynapseGrid(cells.size, 3, levels=levels, delta_d=delta_d)
+            assert grid.states.dtype == np.float32
+            grid.load_states(states, cells, hidden_bias)
+            grid.pulse_block(np.arange(cells.size), np.arange(3), directions)
+            grid.pulse_visible_bias(np.ones(cells.size, dtype=np.int8))
+            grid.pulse_hidden_bias(-np.ones(3, dtype=np.int8))
+            for moved, start, step in ((grid.states, states, directions),
+                                       (grid.visible_bias_states, cells, 1),
+                                       (grid.hidden_bias_states, hidden_bias, -1)):
+                assert moved.dtype == np.float32
+                # Python ints, exact at any step.
+                moves = np.asarray(step, dtype=object) * delta_d
+                expected = np.clip(np.asarray(start, dtype=object) + moves, 0, top)
+                assert moved.tolist() == expected.tolist()
+            assert grid.pulse_count == np.count_nonzero(directions) + cells.size + 3
+
 
 def python_nets(grid, columns, bias_states, bits, use_biases):
     """The nets of one row of bits by the read's formula, with the inner
@@ -536,6 +565,38 @@ class TestExactNets:
                 if rows == 7:
                     assert row.tolist() == python_nets(
                         grid, columns, grid.hidden_bias_states, block[k], use_biases)
+
+    @pytest.mark.parametrize("shape", [(800, 800), (2, 800), (800, 2)])
+    @pytest.mark.parametrize("levels, dtype", [(20946, np.float32), (20947, np.float64)])
+    def test_dtype_rule_keeps_the_largest_sums_exact(self, shape, levels, dtype):
+        # At 800 lines, (800 + 1) * 20945 < 2**24 <= (800 + 1) * 20946: the
+        # widest float32 grid and the narrowest float64 one, with every state
+        # on the top rail and every bit set.
+        model = dbn.DbnModel(shape, levels=levels)
+        grid = model.layers[0].grid
+        top = levels - 1
+        grid.load_states(np.full(shape, top), np.full(shape[0], top), np.full(shape[1], top))
+        for hidden, states, bias_states in ((True, grid.states.T, grid.hidden_bias_states),
+                                            (False, grid.states, grid.visible_bias_states)):
+            ones = np.ones(states.shape[1], dtype=np.uint8)
+            expected = python_nets(grid, states.astype(np.int64).tolist(), bias_states,
+                                   ones, use_biases=True)
+            row = grid.nets(ones, hidden=hidden)
+            assert row.tolist() == expected
+            block = grid.nets(np.ones((256, ones.size), dtype=np.uint8), hidden=hidden)
+            assert block.tolist() == [expected] * 256
+            assert all(block_row.tobytes() == row.tobytes() for block_row in block)
+        def state_dtypes(model):
+            grid = model.layers[0].grid
+            return {a.dtype for a in (grid.states, grid.visible_bias_states,
+                                      grid.hidden_bias_states)}
+
+        assert state_dtypes(model) == {np.dtype(dtype)}
+        for read in (grid.weights(), grid.visible_bias(), grid.hidden_bias()):
+            assert read.dtype == np.float64
+        for copied in (copy.deepcopy(model), dbn.from_bytes(dbn.to_bytes(model))):
+            assert state_dtypes(copied) == {np.dtype(dtype)}
+            assert copied.fingerprint() == model.fingerprint()
 
     @pytest.mark.parametrize("bits, hidden, error, message", [
         ([2, 0, 7], True, ValueError, "visible vector must lie in"),

@@ -237,7 +237,10 @@ class TestFusedIteration:
         expected = cd_delta(fsm.v, fsm.h, fsm.v_bar, fsm.h_bar,
                             grid.weight_step * grid.delta_d)
         assert expected.any()
-        np.testing.assert_array_equal((grid.states - before) * grid.weight_step, expected)
+        # The integer moves, so the scale runs in float64 whatever the dtype
+        # of the states.
+        moves = (grid.states - before).astype(np.int64)
+        np.testing.assert_array_equal(moves * grid.weight_step, expected)
 
 
 class TestBiasTraining:
