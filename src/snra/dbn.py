@@ -13,12 +13,12 @@ layer's nets for a whole block come from one exact product with its
 device states, read once per block, not once per sample.  ``predict`` is
 the one-row case of the same read.
 
-Random streams are derived from the model seed plus a purpose tag and an
-index, so training, layer transfer, and per-sample evaluation draw from
-disjoint reproducible streams regardless of call order.  Within a block,
-evaluation draws each row from its own sample's stream, and transfer
-draws the rows in order from its one stream, so the bits do not depend on
-where the blocks start.
+``derived_rng`` defines every random stream from the model seed, a purpose
+tag and an index, so training, layer transfer, and per-sample evaluation
+draw from disjoint reproducible streams regardless of call order.  Transfer
+draws a block's rows in order from its one stream; evaluation derives a
+block's per-sample streams in one pass, each bit for bit its
+``derived_rng`` stream, so no bit depends on where the blocks start.
 """
 
 import struct
@@ -52,6 +52,12 @@ _EVAL_TAG = 3
 MID_INIT = "mid"
 UNIFORM_INIT = "uniform"
 
+# SeedSequence.generate_state XORs output word i with _HASH[i], then
+# multiplies it by _HASH[i + 1]; and PCG64's 128-bit multiplier.
+_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)],
+                 dtype=np.uint32)
+_PCG64_MULT, _U128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
 # Samples per block read.  A block's float copy and nets stay a few MB
 # at 784x500 however many samples a call reads.
 _BLOCK_ROWS = 256
@@ -61,6 +67,26 @@ def derived_rng(seed, tag, index=0):
     """Deterministic stream for one purpose; disjoint across tags/indices."""
     return np.random.default_rng([integer_setting(seed, "seed"), integer_setting(tag, "tag"),
                                   integer_setting(index, "index")])
+
+
+def _words(n):
+    """The uint32 words of ``n`` >= 0, low first, as SeedSequence reads an int."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _pcg64_states(sequences):
+    """The ``(state, inc)`` of ``PCG64(seq)`` for each SeedSequence, hashed
+    from the pools in one step; lazy, so an empty list hashes nothing."""
+    pools = np.array([seq.pool for seq in sequences], dtype=np.uint32).reshape(-1, 1, 4)
+    hashed = pools ^ _HASH[:8].reshape(2, 4)  # each pool word feeds two output words
+    hashed *= _HASH[1:].reshape(2, 4)
+    hashed ^= hashed >> 16
+    for s_high, s_low, i_high, i_low in hashed.astype("<u4").reshape(-1, 8).view("<u8").tolist():
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _U128
+        yield ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _U128, inc
 
 
 def _blocks(count):
@@ -187,20 +213,29 @@ def greedy_train(model, images, labels, epochs):
 
 
 class _SampleStreams:
-    """The evaluation streams of consecutive samples, one Generator each.
+    """Row k holds the first ``width`` uniforms of ``derived_rng(seed,
+    _EVAL_TAG, first + k)``: one PCG64, built from row 0's SeedSequence, is
+    set to each later row's ``_pcg64_states`` state in turn.  ``random``
+    hands out the next ``shape[1]`` columns, layer after layer."""
 
-    ``random`` fills row k of a block from the stream of sample
-    ``first + k``, with the values that stream would give the row alone.
-    """
-
-    def __init__(self, seed, first, count):
-        self._streams = [derived_rng(seed, _EVAL_TAG, first + k) for k in range(count)]
+    def __init__(self, seed, first, count, width):
+        self._draws = np.empty((count, width))
+        self._used = 0
+        prefix = _words(seed) + _words(_EVAL_TAG)
+        sequences = [np.random.SeedSequence(np.array(prefix + _words(first + k), dtype=np.uint32))
+                     for k in range(count)]
+        bit_generator = np.random.PCG64(sequences[0])
+        generator = np.random.Generator(bit_generator)
+        generator.random(out=self._draws[0])
+        for row, (state, inc) in zip(self._draws[1:], _pcg64_states(sequences[1:])):
+            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+            generator.random(out=row)
 
     def random(self, shape):
-        draws = np.empty(shape)
-        for stream, row in zip(self._streams, draws):
-            stream.random(out=row)
-        return draws
+        start = self._used
+        self._used += shape[1]
+        return self._draws[:, start:self._used]
 
 
 def _classify(model, bits, first):
@@ -211,9 +246,11 @@ def _classify(model, bits, first):
     from (model seed, evaluation tag, first + k), then the top layer is read
     out deterministically; ties resolve to the lowest class index.
     """
-    streams = _SampleStreams(model.rng_seed, first, bits.shape[0])
-    for layer in model.layers[:-1]:
-        bits = layer.forward(bits, streams)
+    if len(model.layers) > 1:
+        streams = _SampleStreams(model.rng_seed, first, bits.shape[0],
+                                 sum(model.topology[1:-1]))
+        for layer in model.layers[:-1]:
+            bits = layer.forward(bits, streams)
     return np.argmax(model.layers[-1].probabilities_forward(bits), axis=1)
 
 

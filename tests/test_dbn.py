@@ -185,6 +185,41 @@ class TestDerivedStreams:
         assert ([dbn.predict(model, image, k) for k in range(10)]
                 == [dbn.predict(model, image, k) for k in range(10)])
 
+    # Two full blocks and a partial one; three RBMs, so each sample's stream
+    # continues from the first sampled layer into the second.
+    COUNT = 2 * dbn._BLOCK_ROWS + 37
+
+    def test_block_reads_equal_each_sample_read_alone(self):
+        model = dbn.DbnModel((8, 6, 5, 3), rng_seed=11, levels=16, init=dbn.UNIFORM_INIT)
+        rng = np.random.default_rng(4)
+        images = rng.integers(0, 2, (self.COUNT, 8), dtype=np.uint8)
+        labels = rng.integers(0, 3, self.COUNT)
+        reference = np.array([classify_alone(model, images[k], k) for k in range(self.COUNT)])
+        assert len(set(reference.tolist())) == 3
+        assert [dbn.predict(model, images[k], k) for k in range(self.COUNT)] == reference.tolist()
+        assert dbn.error_rate(model, images, labels) == np.mean(reference != labels)
+        assert dbn.error_rate(model, images, reference) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
+    def test_stream_rows_equal_derived_rng(self, seed, first):
+        # 3 to 7 entropy words, past SeedSequence's pool of 4; the block
+        # starting at 2**32 - 1 crosses from one index word to two.
+        streams = dbn._SampleStreams(seed, first, 3, 13)
+        drawn = np.hstack([streams.random((3, 5)), streams.random((3, 8))])
+        expected = [dbn.derived_rng(seed, dbn._EVAL_TAG, first + k).random(13) for k in range(3)]
+        np.testing.assert_array_equal(drawn, expected)
+
+
+def classify_alone(model, image, index):
+    """The class of one image read through its own evaluation stream: the
+    reference for the block read."""
+    rng = dbn.derived_rng(model.rng_seed, dbn._EVAL_TAG, index)
+    bits = image
+    for layer in model.layers[:-1]:
+        bits = layer.forward(bits, rng)
+    return int(np.argmax(model.layers[-1].probabilities_forward(bits)))
+
 
 def per_sample_transfer_train(model, images, labels, epochs):
     """greedy_train with each sample pushed up one layer by its own forward
