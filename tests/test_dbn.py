@@ -167,6 +167,16 @@ class TestSerialization:
             dbn.from_bytes(header((100000, 100000)) + bytes(30))
 
 
+def classify_alone(model, image, index):
+    """The class of one image read through its own evaluation stream: the
+    reference for the block read."""
+    rng = dbn.derived_rng(model.rng_seed, dbn._EVAL_TAG, index)
+    bits = image
+    for layer in model.layers[:-1]:
+        bits = layer.forward(bits, rng)
+    return int(np.argmax(model.layers[-1].probabilities_forward(bits)))
+
+
 class TestDerivedStreams:
     def test_training_independent_of_prior_evaluation(self):
         images, labels = training_set()
@@ -209,16 +219,6 @@ class TestDerivedStreams:
         drawn = np.hstack([streams.random((3, 5)), streams.random((3, 8))])
         expected = [dbn.derived_rng(seed, dbn._EVAL_TAG, first + k).random(13) for k in range(3)]
         np.testing.assert_array_equal(drawn, expected)
-
-
-def classify_alone(model, image, index):
-    """The class of one image read through its own evaluation stream: the
-    reference for the block read."""
-    rng = dbn.derived_rng(model.rng_seed, dbn._EVAL_TAG, index)
-    bits = image
-    for layer in model.layers[:-1]:
-        bits = layer.forward(bits, rng)
-    return int(np.argmax(model.layers[-1].probabilities_forward(bits)))
 
 
 def per_sample_transfer_train(model, images, labels, epochs):
