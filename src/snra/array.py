@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ensure_bits, flag_setting, integer_setting
+from .bits import ensure_bits, integer_setting
 from .device import PBit
 from .errors import DimensionError, ProtocolError
 
@@ -92,12 +92,12 @@ class SignalFrame:
 
 
 class RbmArray:
-    """One RBM crossbar: a synapse grid read through stochastic neurons."""
+    """One RBM crossbar: a synapse grid read through stochastic neurons;
+    the grid's ``use_biases`` says whether its bias line is read."""
 
-    def __init__(self, grid, neuron=None, use_biases=True):
+    def __init__(self, grid, neuron=None):
         self.grid = grid
         self.neuron = neuron if neuron is not None else PBit()
-        self.use_biases = flag_setting(use_biases, "use_biases")
 
     @property
     def n_visible(self):
@@ -112,22 +112,22 @@ class RbmArray:
         of a block; n_hidden draws per row, through ``PBit.sample_net``."""
         # Nets built from bounded device weights are finite by construction,
         # so the neuron's validation pass is skipped.
-        return self.neuron.sample_net(self.grid.nets(v, self.use_biases), rng)
+        return self.neuron.sample_net(self.grid.nets(v), rng)
 
     def backward(self, h, rng):
         """Sample the visible layer given a hidden vector, or given each row
         of a block; n_visible draws per row, through ``PBit.sample_net``."""
-        return self.neuron.sample_net(self.grid.nets(h, self.use_biases, False), rng)
+        return self.neuron.sample_net(self.grid.nets(h, False), rng)
 
     def probabilities_forward(self, v):
         """Per-hidden-unit firing probabilities of a visible vector, or of
         each row of a block; no sampling."""
-        return self.neuron.probability(self.grid.nets(v, self.use_biases))
+        return self.neuron.probability(self.grid.nets(v))
 
     def probabilities_backward(self, h):
         """Per-visible-unit firing probabilities of a hidden vector, or of
         each row of a block; no sampling."""
-        return self.neuron.probability(self.grid.nets(h, self.use_biases, False))
+        return self.neuron.probability(self.grid.nets(h, False))
 
     def apply_frame(self, frame):
         """Apply one signal frame to the grid.  Read frames change nothing."""

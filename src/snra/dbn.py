@@ -118,13 +118,13 @@ class DbnModel:
         self.w_max = real_setting(w_max, "w_max")
         self.use_biases = flag_setting(use_biases, "use_biases")
         device = dict(levels=self.levels, delta_d=self.delta_d,
-                      w_min=self.w_min, w_max=self.w_max)
+                      w_min=self.w_min, w_max=self.w_max, use_biases=self.use_biases)
         self.layers = []
         for index, (n_v, n_h) in enumerate(zip(sizes[:-1], sizes[1:])):
             grid = (SynapseGrid(n_v, n_h, **device) if init == MID_INIT else
                     SynapseGrid.uniform_random(
                         n_v, n_h, derived_rng(self.rng_seed, _INIT_TAG, index), **device))
-            self.layers.append(RbmArray(grid, PBit(self.input_scale), self.use_biases))
+            self.layers.append(RbmArray(grid, PBit(self.input_scale)))
 
     @property
     def n_classes(self):

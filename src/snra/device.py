@@ -25,7 +25,7 @@ import hashlib
 
 import numpy as np
 
-from .bits import ensure_bits, integer_array, integer_setting, real_setting
+from .bits import ensure_bits, flag_setting, integer_array, integer_setting, real_setting
 from .errors import DimensionError
 
 
@@ -76,10 +76,11 @@ class PBit:
 
     def probability(self, net_input):
         """Firing probability for a scalar or vector of net inputs."""
-        net = np.asarray(net_input, dtype=np.float64)
-        if not np.isfinite(net).all():
-            raise ValueError("net input must be finite")
-        prob = expit(self.input_scale * net)
+        net = np.asarray(net_input)
+        # The dtype is checked before the float cast, so no string is parsed.
+        if net.dtype.kind not in "biuf" or not np.isfinite(net).all():
+            raise ValueError("net input must be finite real numbers")
+        prob = expit(self.input_scale * net.astype(np.float64, copy=False))
         return float(prob) if np.isscalar(net_input) else prob
 
     def sample_net(self, net, rng):
@@ -110,13 +111,17 @@ class SynapseGrid:
     of the choice, is float32 when every net sum (``max(n_visible,
     n_hidden) + 1`` cells, the bias cell too, of at most ``levels - 1``
     each) stays below 2**24, where float32 is exact, and float64 otherwise.
+
+    ``use_biases`` says whether the bias line takes part in ``nets``; a grid
+    with its line off still keeps, pulses, saves and loads its bias states.
     """
 
     def __init__(self, n_visible, n_hidden, levels=32, w_min=-1.0, w_max=1.0,
-                 delta_d=1):
+                 delta_d=1, use_biases=True):
         self.n_visible, self.n_hidden = line_counts(n_visible, n_hidden)
         self.levels = integer_setting(levels, "levels", low=2, high=MAX_LEVELS)
         self.delta_d = integer_setting(delta_d, "delta_d", low=1)
+        self.use_biases = flag_setting(use_biases, "use_biases")
         self.w_min = real_setting(w_min, "w_min")
         self.w_max = real_setting(w_max, "w_max")
         if self.w_min >= self.w_max:
@@ -162,14 +167,14 @@ class SynapseGrid:
     def hidden_bias(self):
         return _read_only(self.weight(self.hidden_bias_states))
 
-    def nets(self, bits, use_biases=True, hidden=True):
+    def nets(self, bits, hidden=True):
         """Hidden nets of visible bits (a vector, or a block of rows), or with
         ``hidden`` false visible nets of hidden bits alike; the bits are
         checked as ``ensure_bits`` checks them.  A row reads
         ``weight_step * (bits @ states + bias_states) + w_min * (lines + 1)``,
         ``lines`` its active bits: the bias cell is one more line, always on,
-        unless biases are off.  The sum is exact, so a block's row k equals
-        row k read alone, bit for bit."""
+        unless ``use_biases`` is off.  The sum is exact, so row k of a block
+        equals row k read alone, bit for bit."""
         states, bias_states, side = (
             (self.states, self.hidden_bias_states, "visible") if hidden
             else (self.states.T, self.visible_bias_states, "hidden"))
@@ -179,13 +184,13 @@ class SynapseGrid:
         else:
             bits = ensure_bits(bits, states.shape[0], f"{side} vector")
         sums = bits @ states
-        if use_biases:
+        if self.use_biases:
             sums += bias_states
         # The exact sums widen to float64 in the scale pass, not a pass of their own.
         sums = np.multiply(sums, self.weight_step, dtype=np.float64)
         # uint32 counts any row a model file sizes, 2-4x faster than int64.
         lines = np.add.reduce(bits, axis=-1, dtype=np.uint32, keepdims=True,
-                              initial=use_biases)
+                              initial=self.use_biases)
         sums += self.w_min * lines
         return sums
 

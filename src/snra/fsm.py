@@ -126,7 +126,7 @@ class CdFsm:
     def _pulse_biases(self, array):
         # Bias pulses (rails bl = v, sl = v_bar) fire once per iteration, in
         # parallel with the first column write, so the clock count is unchanged.
-        if array.use_biases:
+        if array.grid.use_biases:
             array.grid.pulse_visible_bias(rail_directions(self.v, self.v_bar))
             array.grid.pulse_hidden_bias(rail_directions(self.h, self.h_bar))
 

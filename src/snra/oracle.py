@@ -25,23 +25,23 @@ class DenseRbm:
     """Plain real-valued RBM: weight matrix plus per-side bias vectors."""
 
     def __init__(self, weights, visible_bias=None, hidden_bias=None):
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.asarray(weights)
         if w.ndim != 2:
             raise DimensionError(f"weights must be a matrix, got shape {w.shape}")
-        self.weights = w
         self.n_visible, self.n_hidden = w.shape
-        self.visible_bias = self._bias(visible_bias, self.n_visible, "visible bias")
-        self.hidden_bias = self._bias(hidden_bias, self.n_hidden, "hidden bias")
-        if not (np.isfinite(self.weights).all()
-                and np.isfinite(self.visible_bias).all()
-                and np.isfinite(self.hidden_bias).all()):
-            raise ValueError("RBM parameters must be finite")
+        params = (w, self._bias(visible_bias, self.n_visible, "visible bias"),
+                  self._bias(hidden_bias, self.n_hidden, "hidden bias"))
+        # Each dtype is checked before the float cast, so no string is parsed.
+        if not all(p.dtype.kind in "biuf" and np.isfinite(p).all() for p in params):
+            raise ValueError("RBM parameters must be finite real numbers")
+        self.weights, self.visible_bias, self.hidden_bias = (
+            p.astype(np.float64, copy=False) for p in params)
 
     @staticmethod
     def _bias(values, length, name):
         if values is None:
             return np.zeros(length, dtype=np.float64)
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
         if arr.shape != (length,):
             raise DimensionError(f"{name} must have shape ({length},), got {arr.shape}")
         return arr
@@ -50,8 +50,11 @@ class DenseRbm:
     def from_grid(cls, grid):
         """Snapshot a quantized synapse grid into real-valued parameters:
         the grid maps each read from its states anew, so later writes to
-        the grid leave the snapshot as it is."""
-        return cls(grid.weights(), grid.visible_bias(), grid.hidden_bias())
+        the grid leave the snapshot as it is.  The biases are zero when the
+        grid's bias line is off, so the snapshot's law is that of the grid
+        read through a unit-scale ``PBit``."""
+        biases = (grid.visible_bias(), grid.hidden_bias()) if grid.use_biases else ()
+        return cls(grid.weights(), *biases)
 
 
 def energy(rbm, v, h):

@@ -68,6 +68,11 @@ class TestSignalFrame:
         b = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
         c = SignalFrame.write_frame(1, [1, 0], [0, 1], 2)
         assert a == b and a != c
+        assert a != "frame" and a != (0, [1, 0], [0, 1])
+
+    def test_read_frame_selects_no_column(self):
+        with pytest.raises(ProtocolError, match="read frames select no column"):
+            SignalFrame.read_frame(2, 2).column
 
     def test_built_frame_cannot_change(self):
         frame = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
@@ -130,9 +135,9 @@ class TestSampling:
         assert np.all(np.abs(total / trials - 0.5) < 0.011)  # 3 sigma
 
     def test_saturated_column_with_huge_gain_is_deterministic(self):
-        grid = SynapseGrid(3, 2, levels=2, w_min=-1.0, w_max=1.0)
+        grid = SynapseGrid(3, 2, levels=2, w_min=-1.0, w_max=1.0, use_biases=False)
         grid.load_states([[1, 0], [0, 0], [0, 0]], [0, 0, 0], [0, 0])
-        crossbar = RbmArray(grid, PBit(input_scale=1e3), use_biases=False)
+        crossbar = RbmArray(grid, PBit(input_scale=1e3))
         rng = np.random.default_rng(0)
         for _ in range(50):
             h = crossbar.forward([1, 0, 0], rng)
@@ -165,7 +170,9 @@ class TestSampling:
         h = np.array([1, 0, 1], dtype=np.uint8)
         net = grid.weights() @ h + grid.visible_bias()
         assert np.allclose(crossbar.probabilities_backward(h), 1 / (1 + np.exp(-net)))
-        bare = RbmArray(grid, use_biases=False)
+        # The same draws, on a grid whose bias line is off.
+        bare = RbmArray(SynapseGrid.uniform_random(4, 3, np.random.default_rng(7),
+                                                   use_biases=False))
         assert np.allclose(bare.probabilities_backward(h), 1 / (1 + np.exp(-(grid.weights() @ h))))
         with pytest.raises(DimensionError):
             crossbar.probabilities_backward([1, 0])
@@ -192,7 +199,7 @@ class TestSampling:
         # Nets are exact sums, so a block's row k equals row k read alone,
         # bit for bit, on either side.
         rng = np.random.default_rng(12)
-        crossbar = RbmArray(SynapseGrid.uniform_random(9, 5, rng), use_biases=use_biases)
+        crossbar = RbmArray(SynapseGrid.uniform_random(9, 5, rng, use_biases=use_biases))
         vs = rng.integers(0, 2, (33, 9), dtype=np.uint8)
         hs = rng.integers(0, 2, (33, 5), dtype=np.uint8)
         p_h = crossbar.probabilities_forward(vs)
@@ -218,8 +225,8 @@ class TestSampling:
 
     def test_biases_can_be_disabled(self):
         rng = np.random.default_rng(6)
-        grid = SynapseGrid.uniform_random(3, 2, rng)
-        bare = RbmArray(grid, use_biases=False)
+        grid = SynapseGrid.uniform_random(3, 2, rng, use_biases=False)
+        bare = RbmArray(grid)
         v = np.array([1, 1, 0], dtype=np.uint8)
         net = v @ grid.weights()
         assert np.allclose(bare.probabilities_forward(v), 1 / (1 + np.exp(-net)))

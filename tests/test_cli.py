@@ -100,6 +100,27 @@ def test_eval_prints_the_error_rate_of_the_trained_model(capsys, tmp_path):
     assert out == f"error_rate={rate:.4f} ({round(rate * 9)}/9)\n"
 
 
+def test_train_without_biases_leaves_every_bias_device_at_mid_level(capsys, tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.eye(4, 784) * 255, [0, 1, 0, 1])
+    model_path = tmp_path / "model.snra"
+    assert run(["train", "--topology", "784x4x2", "--images", str(images), "--labels",
+                str(labels), "--out", str(model_path), "--no-biases"], capsys)[0] == 0
+    model = dbn.load_model(model_path)
+    assert model.use_biases is False
+    assert [layer.grid.use_biases for layer in model.layers] == [False, False]
+    mid = (model.levels - 1) // 2
+    for layer in model.layers:
+        grid = layer.grid
+        assert (grid.states != mid).any()
+        assert (grid.visible_bias_states == mid).all() and (grid.hidden_bias_states == mid).all()
+    code, out = run(["eval", "--model", str(model_path), "--images", str(images),
+                     "--labels", str(labels)], capsys)
+    assert code == 0
+    data = load_idx(images, labels)
+    rate = dbn.error_rate(model, data.images, data.labels)
+    assert out == f"error_rate={rate:.4f} ({round(rate * 4)}/4)\n"
+
+
 @pytest.mark.parametrize("extra", [
     ["--seed", str(2**64)],
     ["--levels", "99999999999999999999"],

@@ -278,6 +278,11 @@ class TestLabeledBitSet:
             LabeledBitSet(np.zeros((2, 4), dtype=np.uint8), np.array([1]), 10)
         assert not isinstance(caught.value, IdxFormatError)
 
+    def test_images_must_be_a_matrix(self):
+        for images in (np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(4, dtype=np.uint8)):
+            with pytest.raises(DimensionError, match="^images must be 2-D"):
+                LabeledBitSet(images, [0, 1], 2)
+
     def test_value_checks(self):
         with pytest.raises(ValueError):
             LabeledBitSet(np.full((1, 4), 9, dtype=np.uint8), np.array([0]), 10)

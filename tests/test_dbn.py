@@ -119,8 +119,8 @@ class TestSerialization:
 
     def test_trained_device_state_is_pinned(self):
         # Digests of this run recorded when the states were stored as int64:
-        # the float64 storage and exact nets leave the device, its
-        # fingerprint and its file byte for byte as they were.
+        # float32 storage wherever it is exact, and exact nets, leave the
+        # device, its fingerprint and its file byte for byte as they were.
         data = synthetic_orthogonal(12, 3, 14, noise_flip_prob=0.1, seed=2)
         model = dbn.DbnModel((12, 6, 3), rng_seed=7, levels=16, init=dbn.UNIFORM_INIT)
         report = dbn.greedy_train(model, data.images[:40], data.labels[:40], 1)

@@ -94,6 +94,18 @@ class TestPBit:
             with pytest.raises(ValueError):
                 neuron.probability([0.0, bad])
 
+    def test_strings_rejected_not_parsed(self):
+        # Only bool, integer and real dtypes enter the sigmoid.
+        neuron = PBit()
+        for bad in ("0.5", ["1", "2"], np.array([b"0"]), [0.5, None]):
+            with pytest.raises(ValueError, match="^net input must be finite real numbers"):
+                neuron.probability(bad)
+        assert neuron.probability(True) == neuron.probability(1.0)
+        assert neuron.probability(np.int64(2)) == neuron.probability(2.0)
+        assert neuron.probability(np.array([0, 1], dtype=np.uint8)).tolist() == (
+            neuron.probability([0.0, 1.0]).tolist())
+        assert neuron.probability(np.float32(0.5)) == neuron.probability(0.5)
+
     def test_sample_saturation(self):
         neuron = PBit()
         rng = np.random.default_rng(0)
@@ -341,7 +353,7 @@ class TestSynapseGrid:
         grid.pulse_hidden_bias([0, -1])
         assert grid.pulse_count == 6
 
-    def test_weights_cache_invalidation(self):
+    def test_reads_follow_every_pulse(self):
         grid = SynapseGrid(2, 2, levels=3, w_min=-1.0, w_max=1.0)
         assert grid.weights()[0, 0] == 0.0
         assert grid.visible_bias()[0] == 0.0 and grid.hidden_bias()[1] == 0.0
@@ -353,7 +365,7 @@ class TestSynapseGrid:
         assert grid.hidden_bias()[1] == 1.0
 
     @pytest.mark.parametrize("delta_d", [1, 2, 5])
-    def test_cached_weights_equal_a_full_rebuild(self, delta_d):
+    def test_reads_equal_the_states_after_mixed_writes(self, delta_d):
         rng = np.random.default_rng(delta_d)
         grid = SynapseGrid.uniform_random(6, 5, rng, levels=4, delta_d=delta_d,
                                           w_min=-0.3, w_max=0.7)
@@ -365,10 +377,10 @@ class TestSynapseGrid:
             grid.pulse_column(int(rng.integers(5)), rng.integers(-1, 2, 6))
             grid.pulse_visible_bias(rng.integers(-1, 2, 6))
             grid.pulse_hidden_bias(rng.integers(-1, 2, 5))
-            for cached, states in ((grid.weights(), grid.states),
-                                   (grid.visible_bias(), grid.visible_bias_states),
-                                   (grid.hidden_bias(), grid.hidden_bias_states)):
-                assert cached.view(np.int64).tolist() == grid.weight(states).view(np.int64).tolist()
+            for read, states in ((grid.weights(), grid.states),
+                                 (grid.visible_bias(), grid.visible_bias_states),
+                                 (grid.hidden_bias(), grid.hidden_bias_states)):
+                assert read.view(np.int64).tolist() == grid.weight(states).view(np.int64).tolist()
 
     def test_float_weights_are_read_only(self):
         grid = SynapseGrid(2, 2)
@@ -383,6 +395,22 @@ class TestSynapseGrid:
         assert grid.visible_bias_states.tolist() == [4, 2]
         grid.pulse_hidden_bias([0, 1, -1])
         assert grid.hidden_bias_states.tolist() == [3, 4, 2]
+
+    def test_bias_line_off_keeps_its_states(self):
+        # The line leaves the nets only: its states are still pulsed, read,
+        # loaded and fingerprinted.
+        on, off = SynapseGrid(2, 3, levels=3), SynapseGrid(2, 3, levels=3, use_biases=False)
+        assert on.use_biases is True and off.use_biases is False
+        for grid in (on, off):
+            grid.pulse_visible_bias([1, -1])
+            grid.pulse_hidden_bias([0, 1, -1])
+        assert off.fingerprint() == on.fingerprint() and off.pulse_count == 4
+        assert off.hidden_bias().tolist() == on.hidden_bias().tolist()
+        v = np.array([1, 0], dtype=np.uint8)
+        assert off.nets(v).tolist() == (v @ off.weights()).tolist()
+        assert on.nets(v).tolist() == (v @ on.weights() + on.hidden_bias()).tolist()
+        off.load_states(np.zeros((2, 3), dtype=int), [2, 2], [2, 0, 2])
+        assert off.nets([1, 1, 1], hidden=False).tolist() == (off.weights() @ [1, 1, 1]).tolist()
 
     def test_fingerprint_changes_only_on_writes(self):
         grid = SynapseGrid(2, 2)
@@ -462,7 +490,7 @@ class TestSynapseGrid:
         assert grid.fingerprint() == before
         assert grid.weights().tolist() == weights.tolist()
 
-    def test_load_refreshes_the_float_weights(self):
+    def test_reads_follow_a_load(self):
         grid = SynapseGrid(2, 2, levels=3)
         grid.weights(), grid.visible_bias(), grid.hidden_bias()
         grid.load_states([[0, 1], [2, 0]], [2, 2], [0, 1])
@@ -546,21 +574,22 @@ class TestExactNets:
             self, levels, n_visible, n_hidden, use_biases, w_min, span, seed):
         rng = np.random.default_rng(seed)
         grid = SynapseGrid.uniform_random(n_visible, n_hidden, rng, levels=levels,
-                                          w_min=w_min, w_max=w_min + span)
+                                          w_min=w_min, w_max=w_min + span,
+                                          use_biases=use_biases)
         # Rails included: a quarter of the cells sit at the top state.
         states = grid.states.astype(np.int64)
         states[rng.random(states.shape) < 0.25] = levels - 1
         grid.load_states(states, grid.visible_bias_states.astype(np.int64),
                          grid.hidden_bias_states.astype(np.int64))
         h = rng.integers(0, 2, n_hidden, dtype=np.uint8)
-        assert grid.nets(h, use_biases, hidden=False).tolist() == python_nets(
+        assert grid.nets(h, hidden=False).tolist() == python_nets(
             grid, states.tolist(), grid.visible_bias_states, h, use_biases)
         columns = states.T.tolist()
         for rows in (1, 7, 256):
             block = (rng.random((rows, n_visible)) < rng.random()).astype(np.uint8)
-            nets = grid.nets(block, use_biases)
+            nets = grid.nets(block)
             for k in range(rows):
-                row = grid.nets(block[k], use_biases)
+                row = grid.nets(block[k])
                 assert nets[k].tobytes() == row.tobytes()
                 if rows == 7:
                     assert row.tolist() == python_nets(

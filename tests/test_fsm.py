@@ -13,10 +13,11 @@ from snra.trace import iteration_steps, parse_vcd, write_vcd
 
 def make_array(n_v, n_h, use_biases=True, seed=None):
     if seed is None:
-        grid = SynapseGrid(n_v, n_h)
+        grid = SynapseGrid(n_v, n_h, use_biases=use_biases)
     else:
-        grid = SynapseGrid.uniform_random(n_v, n_h, np.random.default_rng(seed))
-    return RbmArray(grid, use_biases=use_biases)
+        grid = SynapseGrid.uniform_random(n_v, n_h, np.random.default_rng(seed),
+                                          use_biases=use_biases)
+    return RbmArray(grid)
 
 
 def park_at_update(fsm, v, h, v_bar, h_bar):
@@ -148,9 +149,9 @@ class TestFusedIteration:
 
     @staticmethod
     def twin(n_v, n_h, levels, delta_d, use_biases):
-        grid = SynapseGrid.uniform_random(n_v, n_h, np.random.default_rng(11),
-                                          levels=levels, delta_d=delta_d)
-        return RbmArray(grid, use_biases=use_biases), CdFsm(n_v, n_h), np.random.default_rng(12)
+        grid = SynapseGrid.uniform_random(n_v, n_h, np.random.default_rng(11), levels=levels,
+                                          delta_d=delta_d, use_biases=use_biases)
+        return RbmArray(grid), CdFsm(n_v, n_h), np.random.default_rng(12)
 
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("levels", [2, 32])

@@ -39,7 +39,6 @@ def integer_entry_points(tmp_path):
 
 def real_and_flag_entry_points():
     """Each real-valued setting and flag as a call of that one argument."""
-    grid = SynapseGrid(2, 2)
     return {
         "SynapseGrid.w_min": (lambda x: SynapseGrid(2, 2, w_min=x, w_max=5.0), "w_min", -1.0),
         "SynapseGrid.w_max": (lambda x: SynapseGrid(2, 2, w_max=x), "w_max", 1.0),
@@ -49,7 +48,8 @@ def real_and_flag_entry_points():
         "DbnModel.w_min": (lambda x: dbn.DbnModel((4, 2), w_min=x, w_max=5.0), "w_min", -1.0),
         "DbnModel.use_biases": (lambda x: dbn.DbnModel((4, 2), use_biases=x),
                                 "use_biases", False),
-        "RbmArray.use_biases": (lambda x: RbmArray(grid, use_biases=x), "use_biases", False),
+        "SynapseGrid.use_biases": (lambda x: SynapseGrid(2, 2, use_biases=x),
+                                   "use_biases", False),
     }
 
 

@@ -45,6 +45,41 @@ def random_rbm(rng, n_v=3, n_h=2):
                     rng.normal(size=n_h))
 
 
+class TestDenseRbm:
+    def test_rejects_a_non_matrix(self):
+        for weights in ([1.0, 2.0], [[[1.0]]], 3.0):
+            with pytest.raises(DimensionError, match="^weights must be a matrix"):
+                DenseRbm(weights)
+
+    def test_rejects_non_finite_parameters(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for args in (([[bad]],), ([[0.0]], [bad]), ([[0.0]], [0.0], [bad])):
+                with pytest.raises(ValueError, match="^RBM parameters must be finite"):
+                    DenseRbm(*args)
+
+    def test_rejects_a_bias_of_the_wrong_shape(self):
+        with pytest.raises(DimensionError, match=r"^visible bias must have shape \(2,\)"):
+            DenseRbm(np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(DimensionError, match=r"^hidden bias must have shape \(3,\)"):
+            DenseRbm(np.zeros((2, 3)), None, np.zeros((3, 1)))
+
+    def test_strings_rejected_not_parsed(self):
+        for args in (([["1", "2"]],), ([[1.0, 2.0]], ["0"]), ([[1.0, 2.0]], None, ["1", "1"]),
+                     ([["1", "2"]], ["0"], ["1", "1"]), ([[1.0, None]],)):
+            with pytest.raises(ValueError, match="^RBM parameters must be finite real numbers"):
+                DenseRbm(*args)
+
+    def test_numbers_and_bools_are_cast_to_float64(self):
+        rbm = DenseRbm(np.eye(2, dtype=bool), np.array([1, -2], dtype=np.int8),
+                       np.array([0.5, 1.5], dtype=np.float32))
+        for param in (rbm.weights, rbm.visible_bias, rbm.hidden_bias):
+            assert param.dtype == np.float64
+        assert rbm.weights.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert rbm.visible_bias.tolist() == [1.0, -2.0]
+        assert rbm.hidden_bias.tolist() == [0.5, 1.5]
+        assert DenseRbm([[2]]).weights.tolist() == [[2.0]]
+
+
 class TestEnergy:
     def test_all_zero_state(self):
         rbm = random_rbm(np.random.default_rng(0))
@@ -232,27 +267,32 @@ class TestGibbsChain:
         assert tv_distance(freq, exact_distribution(rbm)) > self.TV_BOUND
 
     def test_chain_without_biases_ignores_bias_devices(self):
+        # The snapshot of a grid whose bias line is off has zero biases, so
+        # its law is the chain's; the same draws on a grid with its line on
+        # give another law.
         rng = np.random.default_rng(3)
-        grid = SynapseGrid.uniform_random(4, 3, rng)
-        counts = gibbs_joint_counts(RbmArray(grid, use_biases=False), 20000, rng)
-        rbm = DenseRbm.from_grid(grid)
+        grid = SynapseGrid.uniform_random(4, 3, rng, use_biases=False)
+        counts = gibbs_joint_counts(RbmArray(grid), 20000, rng)
         freq = counts / counts.sum()
-        assert tv_distance(freq, exact_distribution(DenseRbm(rbm.weights))) < self.TV_BOUND
-        assert tv_distance(freq, exact_distribution(rbm)) > self.TV_BOUND
+        rbm = DenseRbm.from_grid(grid)
+        assert not rbm.visible_bias.any() and not rbm.hidden_bias.any()
+        assert tv_distance(freq, exact_distribution(rbm)) < self.TV_BOUND
+        biased = SynapseGrid.uniform_random(4, 3, np.random.default_rng(3))
+        assert tv_distance(freq, exact_distribution(DenseRbm.from_grid(biased))) > self.TV_BOUND
 
-    @pytest.mark.parametrize("shape, sweeps, kwargs", [
-        ((1, 1), 3000, {}),
-        ((4, 3), 3000, {}),
-        ((3, 7), 2000, {}),
-        ((10, 10), 1500, {}),
-        ((MAX_EXACT_NODES - 1, 1), 1500, {}),
-        ((1, MAX_EXACT_NODES - 1), 1500, {}),
-        ((4, 3), 2000, {"neuron": PBit(input_scale=0.5)}),
-        ((4, 3), 2000, {"use_biases": False}),
+    @pytest.mark.parametrize("shape, sweeps, neuron, use_biases", [
+        ((1, 1), 3000, None, True),
+        ((4, 3), 3000, None, True),
+        ((3, 7), 2000, None, True),
+        ((10, 10), 1500, None, True),
+        ((MAX_EXACT_NODES - 1, 1), 1500, None, True),
+        ((1, MAX_EXACT_NODES - 1), 1500, None, True),
+        ((4, 3), 2000, PBit(input_scale=0.5), True),
+        ((4, 3), 2000, None, False),
     ], ids=["1x1", "4x3", "3x7", "10x10", "19x1", "1x19", "4x3-scale0.5", "4x3-no-biases"])
-    def test_equals_reference_chain(self, shape, sweeps, kwargs):
-        grid = SynapseGrid.uniform_random(*shape, np.random.default_rng(4))
-        crossbar = RbmArray(grid, **kwargs)
+    def test_equals_reference_chain(self, shape, sweeps, neuron, use_biases):
+        grid = SynapseGrid.uniform_random(*shape, np.random.default_rng(4), use_biases=use_biases)
+        crossbar = RbmArray(grid, neuron)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         assert np.array_equal(gibbs_joint_counts(crossbar, sweeps, rng),
                               reference_chain(crossbar, sweeps, ref))
