@@ -16,7 +16,7 @@ from .dataset import load_idx
 from .device import SynapseGrid
 from .errors import SnraError
 from .fsm import parse_topology
-from .oracle import (MAX_EXACT_NODES, DenseRbm, exact_distribution,
+from .oracle import (DenseRbm, check_exact_nodes, exact_distribution,
                      gibbs_joint_counts, tv_distance)
 
 
@@ -87,9 +87,7 @@ def _cmd_power(args):
 
 
 def _cmd_oracle(args):
-    if args.visible + args.hidden > MAX_EXACT_NODES:
-        raise SnraError(
-            f"visible + hidden must not exceed {MAX_EXACT_NODES} for exact enumeration")
+    check_exact_nodes(args.visible, args.hidden)
     rng = np.random.default_rng(args.seed)
     grid = SynapseGrid.uniform_random(args.visible, args.hidden, rng)
     crossbar = RbmArray(grid)

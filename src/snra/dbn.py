@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array import RbmArray
-from .bits import ensure_bits, flag_setting, integer_setting, real_setting
+from .bits import ensure_bits, integer_setting
 from .dataset import LabeledBitSet
 from .device import MAX_LEVELS, PBit, SynapseGrid
 from .errors import DimensionError, ModelFormatError
@@ -101,34 +101,43 @@ def one_hot(label, width):
 
 
 class DbnModel:
-    """Stack of RBM arrays plus the device configuration they share."""
+    """Stack of RBM arrays and the seed of their random streams.  The layers
+    are the one record of the topology and of the device settings they
+    share, which the model's read-only properties of the same names view."""
 
     def __init__(self, topology, rng_seed=1, levels=32, delta_d=1,
                  input_scale=1.0, w_min=-1.0, w_max=1.0, use_biases=True,
                  init=MID_INIT):
-        self.topology = sizes = layer_sizes(topology)
-        # The model file stores the seed as u64 and levels and delta_d as u16.
+        sizes = layer_sizes(topology)
+        # The model file stores the seed as u64 and levels and delta_d as u16;
+        # the grids and the neuron check every other setting.
         self.rng_seed = integer_setting(rng_seed, "rng_seed", high=(1 << 64) - 1)
-        self.levels = integer_setting(levels, "levels", low=2, high=MAX_LEVELS)
-        self.delta_d = integer_setting(delta_d, "delta_d", low=1, high=0xFFFF)
+        levels = integer_setting(levels, "levels", low=2, high=MAX_LEVELS)
+        delta_d = integer_setting(delta_d, "delta_d", low=1, high=0xFFFF)
         if init not in (MID_INIT, UNIFORM_INIT):
             raise ValueError(f"init must be {MID_INIT!r} or {UNIFORM_INIT!r}")
-        self.input_scale = real_setting(input_scale, "input_scale")
-        self.w_min = real_setting(w_min, "w_min")
-        self.w_max = real_setting(w_max, "w_max")
-        self.use_biases = flag_setting(use_biases, "use_biases")
-        device = dict(levels=self.levels, delta_d=self.delta_d,
-                      w_min=self.w_min, w_max=self.w_max, use_biases=self.use_biases)
+        neuron = PBit(input_scale)
+        device = dict(levels=levels, delta_d=delta_d, w_min=w_min, w_max=w_max,
+                      use_biases=use_biases)
         self.layers = []
         for index, (n_v, n_h) in enumerate(zip(sizes[:-1], sizes[1:])):
             grid = (SynapseGrid(n_v, n_h, **device) if init == MID_INIT else
                     SynapseGrid.uniform_random(
                         n_v, n_h, derived_rng(self.rng_seed, _INIT_TAG, index), **device))
-            self.layers.append(RbmArray(grid, PBit(self.input_scale)))
+            self.layers.append(RbmArray(grid, neuron))
+
+    @property
+    def topology(self):
+        return (self.layers[0].n_visible, *(layer.n_hidden for layer in self.layers))
+
+    levels, delta_d, w_min, w_max, use_biases = (
+        property(lambda model, name=name: getattr(model.layers[0].grid, name))
+        for name in ("levels", "delta_d", "w_min", "w_max", "use_biases"))
+    input_scale = property(lambda model: model.layers[0].neuron.input_scale)
 
     @property
     def n_classes(self):
-        return self.topology[-1]
+        return self.layers[-1].n_hidden
 
     def fingerprint(self):
         """Digest over every layer's device state."""

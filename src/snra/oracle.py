@@ -15,6 +15,14 @@ from .errors import DimensionError
 # Enumeration cap: 2**20 joint states is the largest table kept exact.
 MAX_EXACT_NODES = 20
 
+
+def check_exact_nodes(n_visible, n_hidden):
+    """Refuse a shape with more joint states than exact enumeration keeps."""
+    if n_visible + n_hidden > MAX_EXACT_NODES:
+        raise DimensionError(
+            f"visible + hidden must not exceed {MAX_EXACT_NODES} for exact enumeration")
+
+
 # Gibbs sweeps per block of uniforms are chosen so that the block's Python
 # copy stays near this many bytes: 32 bytes a float, about 180 bytes a
 # sweep for its two row lists and its joint state.
@@ -89,10 +97,7 @@ def exact_distribution(rbm):
     Index layout follows joint_index: state = int(v) + int(h) << n_visible
     with bit k of each register at integer bit k.
     """
-    total = rbm.n_visible + rbm.n_hidden
-    if total > MAX_EXACT_NODES:
-        raise ValueError(
-            f"exact enumeration limited to {MAX_EXACT_NODES} total nodes, got {total}")
+    check_exact_nodes(rbm.n_visible, rbm.n_hidden)
     vs = _code_bits(rbm.n_visible).astype(np.float64)
     hs = _code_bits(rbm.n_hidden).astype(np.float64)
     neg_energy = (vs @ rbm.visible_bias)[:, None] + (hs @ rbm.hidden_bias)[None, :]
@@ -137,9 +142,7 @@ def gibbs_joint_counts(array, sweeps, rng):
     """
     sweeps = integer_setting(sweeps, "sweeps")
     n_v, n_h = array.n_visible, array.n_hidden
-    if n_v + n_h > MAX_EXACT_NODES:
-        raise ValueError(
-            f"joint-state counting limited to {MAX_EXACT_NODES} total nodes")
+    check_exact_nodes(n_v, n_h)
     counts = np.zeros(1 << (n_v + n_h), dtype=np.int64)
     # Rows of plain floats, zipped with one list of unit bits, stay small.
     hidden_rows = array.probabilities_forward(_code_bits(n_v)).tolist()

@@ -35,7 +35,6 @@ SHE_MTJ = "she-mtj"
 class LutTech:
     """Per-LUT device counts and electrical figures for one fabric."""
 
-    name: str
     mos_count: int
     mtj_count: int
     read_uw: float
@@ -116,7 +115,6 @@ def load_reference():
         kind = fields[0]
         if kind == "lut":
             techs[fields[1]] = LutTech(
-                name=fields[1],
                 mos_count=int(fields[2]),
                 mtj_count=int(fields[3]),
                 read_uw=float(fields[4]),

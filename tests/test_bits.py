@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snra.bits import (bits_from_string, bits_to_string, ensure_bits, integer_array,
-                       integer_setting)
+                       integer_setting, real_setting)
 from snra.errors import DimensionError
 
 
@@ -90,6 +90,12 @@ def test_integer_setting_bounds():
     for value, low, high in ((-1, 0, None), (2, 3, None), (4, 0, 3), (-1, 0, 3)):
         with pytest.raises(ValueError, match="^n must (be at least|lie in)"):
             integer_setting(value, "n", low, high)
+
+
+def test_real_setting_rejects_an_integer_past_the_float_range():
+    # float(10**400) overflows, and the value is refused as a non-finite one is.
+    with pytest.raises(ValueError, match="^x must be a finite real number"):
+        real_setting(10**400, "x")
 
 
 def test_integer_array_bounds():

@@ -167,6 +167,40 @@ class TestSerialization:
             dbn.from_bytes(header((100000, 100000)) + bytes(30))
 
 
+LAYER_SETTINGS = ("levels", "delta_d", "w_min", "w_max", "use_biases")
+
+
+def layer_record(model):
+    """Each layer's shape and device settings, as its grid and neuron hold them."""
+    return [(layer.n_visible, layer.n_hidden, layer.neuron.input_scale,
+             *(getattr(layer.grid, name) for name in LAYER_SETTINGS))
+            for layer in model.layers]
+
+
+class TestModelRecord:
+    def test_the_layers_are_the_only_record(self):
+        model = dbn.DbnModel((4, 3, 2))
+        saved = dbn.to_bytes(model)
+        assert set(vars(model)) == {"rng_seed", "layers"}
+        assert model.layers[0].neuron is model.layers[1].neuron
+        for name, value in [("topology", (8, 2)), ("input_scale", 2.0), ("levels", 64),
+                            ("delta_d", 2), ("w_min", -2.0), ("w_max", 2.0),
+                            ("use_biases", False)]:
+            with pytest.raises(AttributeError):
+                setattr(model, name, value)
+        assert dbn.to_bytes(model) == saved
+
+    @pytest.mark.parametrize("use_biases", [True, False])
+    def test_loaded_layers_hold_the_settings_of_the_saved_ones(self, use_biases):
+        model = dbn.DbnModel((6, 4, 3, 2), rng_seed=5, levels=7, delta_d=2, input_scale=0.5,
+                             w_min=-3.0, w_max=0.25, use_biases=use_biases,
+                             init=dbn.UNIFORM_INIT)
+        expected = [(n_v, n_h, 0.5, 7, 2, -3.0, 0.25, use_biases)
+                    for n_v, n_h in ((6, 4), (4, 3), (3, 2))]
+        assert layer_record(model) == expected
+        assert layer_record(dbn.from_bytes(dbn.to_bytes(model))) == expected
+
+
 def classify_alone(model, image, index):
     """The class of one image read through its own evaluation stream: the
     reference for the block read."""

@@ -129,7 +129,7 @@ class TestExactDistribution:
         assert abs(exact_distribution(rbm).sum() - 1.0) < 1e-12
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^visible \\+ hidden must not exceed 20 for"):
             exact_distribution(DenseRbm(np.zeros((MAX_EXACT_NODES, 1))))
 
     def test_conditional_matches_sigmoid(self):
@@ -335,7 +335,7 @@ class TestGibbsChain:
 
     def test_size_cap(self):
         crossbar = RbmArray(SynapseGrid(MAX_EXACT_NODES, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^visible \\+ hidden must not exceed 20 for"):
             gibbs_joint_counts(crossbar, 1, np.random.default_rng(0))
 
 

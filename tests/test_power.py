@@ -1,4 +1,6 @@
 import struct
+from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,3 +128,21 @@ def test_parse_topology():
 
 def test_largest_rbm_picks_most_synapses():
     assert power.largest_rbm((784, 500, 800, 10)) == (500, 800)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1.6  no ", "1.6  off ", "expected yes/no, got 'off'"),
+    ("utilization 784x10 ", "usage 784x10 ", "unknown record type 'usage'"),
+], ids=["gated-idle-token", "record-type"])
+def test_reference_data_with_an_unknown_token_rejected(monkeypatch, old, new, message):
+    text = resources.files("snra").joinpath("data/lut_reference.txt").read_text()
+    assert text.count(old) == 1
+    data = SimpleNamespace(read_text=lambda: text.replace(old, new))
+    monkeypatch.setattr(power, "resources", SimpleNamespace(
+        files=lambda package: SimpleNamespace(joinpath=lambda path: data)))
+    power.load_reference.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=message):
+            power.load_reference()
+    finally:
+        power.load_reference.cache_clear()

@@ -222,6 +222,11 @@ def test_empty_trace_rejected():
         write_vcd([])
 
 
+def test_parse_vcd_skips_blank_lines_in_the_header():
+    text = write_vcd(recorded_iteration()[1])
+    assert parse_vcd(text.replace("$end\n", "$end\n\n  \n", 3)) == parse_vcd(text)
+
+
 @pytest.mark.parametrize("text, message", [
     pytest.param("$var wire 1\n", "line 1", id="short-var"),
     pytest.param("$enddefinitions $end\n#0\n1!\n", "line 3", id="undeclared-code"),
