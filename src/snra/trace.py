@@ -11,9 +11,13 @@ marker.  Vector values are written MSB first, so register element 0 is
 the rightmost character; released bit and source lines are dumped as 'z'.
 Every value is exactly as wide as its wire and holds only 0s and 1s, or 'z'
 on BL and SL: ``write_vcd`` writes no other and ``parse_vcd`` reads no other.
+``write_vcd`` checks each step, then renders each rail wire with one
+``bits_to_string`` over the whole dump, sliced by step; a fault names its step.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .array import SignalFrame
 from .bits import bits_from_string, bits_to_string, ensure_bits, integer_setting
@@ -61,31 +65,36 @@ def iteration_steps(v, h, v_bar, h_bar):
     return steps
 
 
-def _step_values(step, clk, n_hidden):
-    """One step's wire values as text, in ``_SIGNAL_ORDER``; a STATE outside
-    [0, 3] or a COUNTER outside [0, n_hidden] raises ``ValueError``."""
-    width = n_hidden.bit_length()
-    state = integer_setting(step.state, "STATE of the 2-bit wire", high=3)
-    counter = integer_setting(step.counter, f"COUNTER of the {width}-bit wire", high=n_hidden)
-    frame = step.frame
-    if frame.rwl:
-        bl = sl = "z" * frame.bl.size
-    else:
-        bl, sl = bits_to_string(frame.bl), bits_to_string(frame.sl)
-    return (clk, format(state, "02b"), str(frame.rwl), bits_to_string(frame.wwl),
-            bl, sl, format(counter, f"0{width}b"))
+def _rail_column(steps, name, at, width, rest):
+    """Rail ``name`` of each step as MSB-first text, rendered at the steps
+    ``at`` by one ``bits_to_string``; ``rest`` elsewhere and after the last."""
+    rails = [getattr(steps[k].frame, name) for k in at]
+    try:
+        # Reversed here and again by bits_to_string, the first step's rail comes first.
+        text = bits_to_string(np.concatenate(rails[::-1] or [np.zeros(0, np.uint8)]))
+    except (TypeError, ValueError):
+        # Find the faulty step; valid rails can mix to a failing dtype (uint64, int64).
+        for index, k in enumerate(at):
+            try:
+                rails[index] = ensure_bits(rails[index])
+            except ValueError as exc:
+                raise ProtocolError(f"step {k}: {exc}") from None
+        text = bits_to_string(np.concatenate(rails[::-1]))
+    column = [rest] * (len(steps) + 1)
+    for k, start in zip(at, range(0, len(text), width)):
+        column[k] = text[start:start + width]
+    return column
 
 
 def write_vcd(steps, path=None):
     """Render trace steps as VCD text; optionally write it to a file.
 
     A value of another width than its wire, the wire of an empty register
-    included, or a STATE or COUNTER out of range raises ``ProtocolError``
-    before anything is written."""
+    included, a rail that ``ensure_bits`` rejects, or a STATE or COUNTER out
+    of range raises ``ProtocolError`` before anything is written."""
     if not steps:
         raise ProtocolError("cannot dump an empty trace")
-    n_visible = steps[0].frame.bl.size
-    n_hidden = steps[0].frame.wwl.size
+    n_visible, n_hidden = steps[0].frame.bl.size, steps[0].frame.wwl.size
     # The column counter has ceil(log2(n_hidden + 1)) bits.
     widths = (1, 2, 1, n_hidden, n_visible, n_visible, n_hidden.bit_length())
     wires = tuple(zip(_SIGNAL_ORDER, _ID_CODES, widths))
@@ -97,24 +106,40 @@ def write_vcd(steps, path=None):
         lines.append(f"$var wire {width} {code} {name}{rng} $end")
     lines += ["$upscope $end", "$enddefinitions $end"]
 
-    idle = TraceStep(SignalFrame.read_frame(n_visible, n_hidden), State.FEED_FORWARD, 0)
-    previous = (None,) * len(wires)
-    for k, step in enumerate([*steps, idle]):
+    states, counters = [], []
+    state_name, counter_name = "STATE of the 2-bit wire", f"COUNTER of the {widths[6]}-bit wire"
+    for k, step in enumerate(steps):
+        frame = step.frame
         try:
-            values = _step_values(step, "1" if k % 2 == 0 else "0", n_hidden)
+            states.append(format(integer_setting(step.state, state_name, high=3), "02b"))
+            counters.append(format(integer_setting(step.counter, counter_name, high=n_hidden),
+                                   f"0{widths[6]}b"))
         except ValueError as exc:
             raise ProtocolError(f"step {k}: {exc}") from None
+        sizes = (len(str(frame.rwl)), frame.wwl.size, frame.bl.size, frame.sl.size)
+        for name, size, width in zip(_SIGNAL_ORDER[2:6], sizes, widths[2:6]):
+            if size != width:
+                # A rail ensure_bits rejects is the step's first fault; _rail_column raises it.
+                for rail in ("wwl",) if frame.rwl else ("bl", "sl", "wwl"):
+                    _rail_column(steps, rail, [k], 1, "")
+                raise ProtocolError(f"step {k} gives {name} {size} characters "
+                                    f"for its {width}-bit wire")
+    # The idle tail is a read clock at FEED_FORWARD with the counter at 0.
+    writes = [k for k, step in enumerate(steps) if not step.frame.rwl]
+    columns = (["1", "0"] * (len(steps) // 2 + 1), states + ["00"],
+               [str(step.frame.rwl) for step in steps] + ["1"],
+               _rail_column(steps, "wwl", range(len(steps)), n_hidden, "0" * n_hidden),
+               _rail_column(steps, "bl", writes, n_visible, "z" * n_visible),
+               _rail_column(steps, "sl", writes, n_visible, "z" * n_visible),
+               counters + ["0" * widths[6]])
+    previous = (None,) * len(wires)
+    for k, values in enumerate(zip(*columns)):
         lines.append(f"#{k * _TICKS_PER_CLOCK}")
         if k == 0:
             lines.append("$dumpvars")
-        # A value equal to the last one was checked when it was written.
-        for (name, code, width), value, old in zip(wires, values, previous):
-            if value == old:
-                continue
-            if len(value) != width:
-                raise ProtocolError(f"step {k} gives {name} {len(value)} characters "
-                                    f"for its {width}-bit wire")
-            lines.append(f"{value}{code}" if width == 1 else f"b{value} {code}")
+        for (_, code, width), value, old in zip(wires, values, previous):
+            if value != old:
+                lines.append(f"{value}{code}" if width == 1 else f"b{value} {code}")
         if k == 0:
             lines.append("$end")
         previous = values

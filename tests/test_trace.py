@@ -1,8 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 
 from snra.array import RbmArray, SignalFrame
-from snra.bits import ensure_bits
+from snra.bits import bits_to_string, ensure_bits
 from snra.device import SynapseGrid
 from snra.errors import DimensionError, ProtocolError
 from snra.fsm import CLOCK_PERIOD_S, CdFsm, State
@@ -45,6 +47,118 @@ def test_wide_dump_is_byte_identical_to_per_bit_rendering(monkeypatch):
         str(int(b)) for b in ensure_bits(bits)[::-1]))
     assert text == write_vcd(steps)
     assert steps_from_vcd(parse_vcd(text)) == steps
+
+
+def reference_vcd(steps):
+    """The dump written one step at a time, with three ``bits_to_string``
+    calls per write clock: reference code that ``write_vcd``, which renders
+    each rail wire once per dump, must match byte for byte."""
+    names, codes = ("CLK", "STATE", "RWL", "WWL", "BL", "SL", "COUNTER"), "!\"#%&'("
+    n_visible, n_hidden = steps[0].frame.bl.size, steps[0].frame.wwl.size
+    width = n_hidden.bit_length()
+    widths = (1, 2, 1, n_hidden, n_visible, n_visible, width)
+    lines = ["$timescale 1ns $end", "$scope module cd_fsm $end"]
+    for name, code, bits in zip(names, codes, widths):
+        lines.append(f"$var wire {bits} {code} {name}" + (f" [{bits - 1}:0]" if bits > 1 else "")
+                     + " $end")
+    lines += ["$upscope $end", "$enddefinitions $end"]
+    idle = TraceStep(SignalFrame.read_frame(n_visible, n_hidden), State.FEED_FORWARD, 0)
+    previous = (None,) * len(names)
+    for k, step in enumerate([*steps, idle]):
+        frame = step.frame
+        if frame.rwl:
+            bl = sl = "z" * frame.bl.size
+        else:
+            bl, sl = bits_to_string(frame.bl), bits_to_string(frame.sl)
+        values = ("1" if k % 2 == 0 else "0", format(int(step.state), "02b"), str(frame.rwl),
+                  bits_to_string(frame.wwl), bl, sl, format(int(step.counter), f"0{width}b"))
+        lines.append(f"#{k * round(CLOCK_PERIOD_S * 1e9)}")
+        if k == 0:
+            lines.append("$dumpvars")
+        for code, bits, value, old in zip(codes, widths, values, previous):
+            if value != old:
+                lines.append(f"{value}{code}" if bits == 1 else f"b{value} {code}")
+        if k == 0:
+            lines.append("$end")
+        previous = values
+    return "\n".join(lines) + "\n"
+
+
+def duck_frame(frame, dtype=np.int64, **rails):
+    """``frame`` as a plain namespace with rails of ``dtype``, any of them
+    replaced by ``rails``; no SignalFrame check runs on it."""
+    values = {name: getattr(frame, name).astype(dtype) for name in ("wwl", "bl", "sl")}
+    return types.SimpleNamespace(rwl=frame.rwl, **{**values, **rails})
+
+
+class TestRenderingMatchesTheStepwiseWriter:
+    def test_every_piece_of_a_recorded_iteration(self):
+        _, steps = recorded_iteration(n_visible=784, n_hidden=64, seed=11)
+        for piece in (19, 50):
+            for start in range(len(steps) - piece + 1):
+                part = steps[start:start + piece]
+                assert write_vcd(part) == reference_vcd(part), (piece, start)
+
+    def test_whole_wide_iteration(self):
+        rng = np.random.default_rng(25)
+        steps = iteration_steps(*(rng.integers(0, 2, n) for n in (784, 500, 784, 500)))
+        assert write_vcd(steps) == reference_vcd(steps)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_one_step(self, k):
+        # Steps 0-2 are read clocks and 3-6 write clocks.
+        steps = iteration_steps([1, 0, 1], [1, 0, 1, 1], [0, 1, 1], [0, 1, 1, 0])
+        assert write_vcd(steps[k:k + 1]) == reference_vcd(steps[k:k + 1])
+
+    def test_read_frames_only(self):
+        steps = iteration_steps([1, 0, 1], [1, 0], [0, 1, 1], [0, 1])[:3]
+        text = write_vcd(steps)
+        assert text == reference_vcd(steps)
+        assert steps_from_vcd(parse_vcd(text)) == steps
+
+    def test_one_hidden_column(self):
+        for h, h_bar in ([1], [0]), ([0], [1]), ([1], [1]):
+            steps = iteration_steps([1, 0, 1], h, [0, 1, 1], h_bar)
+            assert write_vcd(steps) == reference_vcd(steps)
+
+    def test_duck_typed_frames_with_integer_rails(self):
+        _, steps = recorded_iteration(n_visible=9, n_hidden=6, seed=2)
+        for dtypes in ([np.int64], [np.uint64, np.int64], [bool, np.int8, np.uint16]):
+            # uint64 and int64 rails concatenate to float64, which no rail is.
+            duck = [TraceStep(duck_frame(step.frame, dtypes[k % len(dtypes)]),
+                              step.state, step.counter) for k, step in enumerate(steps)]
+            assert write_vcd(duck) == write_vcd(steps) == reference_vcd(duck)
+
+
+@pytest.mark.parametrize("rail, wire", [("bl", "BL"), ("sl", "SL")])
+def test_a_read_frame_rail_narrower_than_its_wire_is_rejected(rail, wire, tmp_path):
+    steps = iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])
+    steps[1] = TraceStep(duck_frame(steps[1].frame, **{rail: np.zeros(1, np.uint8)}),
+                         State.FEED_BACK, 0)
+    path = tmp_path / "trace.vcd"
+    with pytest.raises(ProtocolError, match=f"^step 1 gives {wire} 1 characters for its "
+                                            "2-bit wire$"):
+        write_vcd(steps, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rail", ["bl", "sl", "wwl"])
+@pytest.mark.parametrize("bad, message", [
+    (lambda bits: np.concatenate([[2], bits[1:]]).astype(np.uint8),
+     "bit vector entries must be 0 or 1"),
+    (lambda bits: bits.astype(np.float64), "bit vector must hold integers, got dtype float64"),
+    (lambda bits: bits.reshape(1, -1), "bit vector must be one-dimensional"),
+    (lambda bits: np.stack([bits, bits]), "bit vector must be one-dimensional"),
+], ids=["two", "float64", "row", "two-rows"])
+def test_a_faulty_write_rail_names_its_step(rail, bad, message, tmp_path):
+    steps = iteration_steps([1, 0, 1], [1, 0, 1, 1, 0], [0, 1, 1], [0, 1, 1, 0, 1])
+    frame = steps[4].frame
+    steps[4] = TraceStep(duck_frame(frame, np.uint8, **{rail: bad(getattr(frame, rail))}),
+                         steps[4].state, steps[4].counter)
+    path = tmp_path / "trace.vcd"
+    with pytest.raises(ProtocolError, match=f"^step 4: {message}"):
+        write_vcd(steps, path)
+    assert not path.exists()
 
 
 def test_timestamps_step_by_the_clock_period():
