@@ -11,8 +11,8 @@ marker.  Vector values are written MSB first, so register element 0 is
 the rightmost character; released bit and source lines are dumped as 'z'.
 Every value is exactly as wide as its wire and holds only 0s and 1s, or 'z'
 on BL and SL: ``write_vcd`` writes no other and ``parse_vcd`` reads no other.
-``write_vcd`` checks each step, then renders each rail wire with one
-``bits_to_string`` over the whole dump, sliced by step; a fault names its step.
+``write_vcd`` takes only ``SignalFrame``s, checked when built, and renders
+each rail wire with one ``bits_to_string`` over the whole dump.
 """
 
 from dataclasses import dataclass
@@ -68,18 +68,9 @@ def iteration_steps(v, h, v_bar, h_bar):
 def _rail_column(steps, name, at, width, rest):
     """Rail ``name`` of each step as MSB-first text, rendered at the steps
     ``at`` by one ``bits_to_string``; ``rest`` elsewhere and after the last."""
-    rails = [getattr(steps[k].frame, name) for k in at]
-    try:
-        # Reversed here and again by bits_to_string, the first step's rail comes first.
-        text = bits_to_string(np.concatenate(rails[::-1] or [np.zeros(0, np.uint8)]))
-    except (TypeError, ValueError):
-        # Find the faulty step; valid rails can mix to a failing dtype (uint64, int64).
-        for index, k in enumerate(at):
-            try:
-                rails[index] = ensure_bits(rails[index])
-            except ValueError as exc:
-                raise ProtocolError(f"step {k}: {exc}") from None
-        text = bits_to_string(np.concatenate(rails[::-1]))
+    # Reversed here and again by bits_to_string, the first step's rail comes first.
+    rails = [getattr(steps[k].frame, name) for k in at[::-1]]
+    text = bits_to_string(np.concatenate(rails or [np.zeros(0, np.uint8)]))
     column = [rest] * (len(steps) + 1)
     for k, start in zip(at, range(0, len(text), width)):
         column[k] = text[start:start + width]
@@ -89,11 +80,15 @@ def _rail_column(steps, name, at, width, rest):
 def write_vcd(steps, path=None):
     """Render trace steps as VCD text; optionally write it to a file.
 
-    A value of another width than its wire, the wire of an empty register
-    included, a rail that ``ensure_bits`` rejects, or a STATE or COUNTER out
-    of range raises ``ProtocolError`` before anything is written."""
+    Frames must be ``SignalFrame``s, checked when built.  Another frame, a WWL
+    or BL of another width than its wire, the wire of an empty register, or a
+    STATE or COUNTER out of range raises ``ProtocolError`` before any write."""
     if not steps:
         raise ProtocolError("cannot dump an empty trace")
+    for k, step in enumerate(steps):
+        if not isinstance(step.frame, SignalFrame):
+            raise ProtocolError(f"step {k}: frame must be a SignalFrame, "
+                                f"got {type(step.frame).__name__}")
     n_visible, n_hidden = steps[0].frame.bl.size, steps[0].frame.wwl.size
     # The column counter has ceil(log2(n_hidden + 1)) bits.
     widths = (1, 2, 1, n_hidden, n_visible, n_visible, n_hidden.bit_length())
@@ -109,19 +104,16 @@ def write_vcd(steps, path=None):
     states, counters = [], []
     state_name, counter_name = "STATE of the 2-bit wire", f"COUNTER of the {widths[6]}-bit wire"
     for k, step in enumerate(steps):
-        frame = step.frame
         try:
             states.append(format(integer_setting(step.state, state_name, high=3), "02b"))
             counters.append(format(integer_setting(step.counter, counter_name, high=n_hidden),
                                    f"0{widths[6]}b"))
         except ValueError as exc:
             raise ProtocolError(f"step {k}: {exc}") from None
-        sizes = (len(str(frame.rwl)), frame.wwl.size, frame.bl.size, frame.sl.size)
-        for name, size, width in zip(_SIGNAL_ORDER[2:6], sizes, widths[2:6]):
+        # A frame's rwl is 0 or 1, and its bl and sl are equally wide.
+        sizes = (step.frame.wwl.size, step.frame.bl.size)
+        for name, size, width in zip(_SIGNAL_ORDER[3:5], sizes, widths[3:5]):
             if size != width:
-                # A rail ensure_bits rejects is the step's first fault; _rail_column raises it.
-                for rail in ("wwl",) if frame.rwl else ("bl", "sl", "wwl"):
-                    _rail_column(steps, rail, [k], 1, "")
                 raise ProtocolError(f"step {k} gives {name} {size} characters "
                                     f"for its {width}-bit wire")
     # The idle tail is a read clock at FEED_FORWARD with the counter at 0.
@@ -193,7 +185,9 @@ def parse_vcd(text):
             timescale = " ".join(tokens[1:-1])
         elif tokens[0] == "$var":
             # $var wire <width> <code> <name> [range] $end
-            if len(tokens) < 5 or not tokens[2].isdecimal():
+            # Only ASCII digits: str.isdecimal alone also reads other scripts' digits.
+            if (len(tokens) < 5 or not (tokens[2].isascii() and tokens[2].isdecimal())
+                    or int(tokens[2]) < 1):
                 raise _malformed(number, line)
             variables.append(VcdVar(name=tokens[4], width=int(tokens[2]),
                                     code=tokens[3]))
@@ -208,7 +202,7 @@ def parse_vcd(text):
         if not token or token in ("$dumpvars", "$end"):
             continue
         if token.startswith("#"):
-            if not token[1:].isdecimal():
+            if not (token[1:].isascii() and token[1:].isdecimal()):
                 raise _malformed(number, line)
             if time is not None:
                 snapshots.append((time, dict(current)))
@@ -240,7 +234,7 @@ def steps_from_vcd(trace):
     for time, values in trace.snapshots[:-1]:
         try:
             state = int(values["STATE"], 2)
-            counter = int(values["COUNTER"], 2)
+            counter = integer_setting(int(values["COUNTER"], 2), "COUNTER", high=n_hidden)
             if int(values["RWL"], 2):
                 frame = SignalFrame.read_frame(n_visible, n_hidden)
             else:

@@ -100,6 +100,22 @@ class TestSignalFrame:
             rail[0] = 1
         assert not (frame.wwl.any() or frame.bl.any() or frame.sl.any())
 
+    @pytest.mark.parametrize("rail", ["bl", "sl", "wwl"])
+    @pytest.mark.parametrize("bad, message", [
+        (lambda bits: np.concatenate([[2], bits[1:]]).astype(np.uint8),
+         "entries must be 0 or 1"),
+        (lambda bits: bits.astype(np.float64), "must hold integers, got dtype float64"),
+        (lambda bits: bits.reshape(1, -1), "must be one-dimensional"),
+        (lambda bits: np.stack([bits, bits]), "must be one-dimensional"),
+    ], ids=["two", "float64", "row", "two-rows"])
+    def test_a_faulty_rail_is_rejected(self, rail, bad, message):
+        # The frame is a clock's one check: write_vcd trusts the rails it holds.
+        rails = {"wwl": np.array([0, 1, 0], np.uint8), "bl": np.array([1, 0, 1], np.uint8),
+                 "sl": np.array([0, 1, 0], np.uint8)}
+        rails[rail] = bad(rails[rail])
+        with pytest.raises(ValueError, match=f"^{rail} {message}"):
+            SignalFrame(0, **rails)
+
 
 class TestSampling:
     def test_output_shapes_and_values(self):
