@@ -5,8 +5,9 @@ line says which clock a frame is: with ``rwl`` 1 it is a Read frame, whose
 write rails stay parked; with ``rwl`` 0 it is a Write frame, which selects
 exactly one hidden column and encodes the pulse direction per visible row
 as (bl, sl) = (1, 0) for increase, (0, 1) for decrease, and (0, 0) or
-(1, 1) for none.  ``fsm.update_rails`` drives the rails by the CD rule,
-and ``rail_directions`` is their one decode.
+(1, 1) for none.  ``fsm.update_frame`` builds every write frame from
+``fsm.update_rails``, the CD rule, and ``rail_directions`` is their one
+decode.  A frame is checked once, when built, and has no empty rail.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import ensure_bits, integer_setting
-from .device import PBit
+from .device import PBit, line_counts
 from .errors import DimensionError, ProtocolError
 
 
@@ -41,6 +42,7 @@ class SignalFrame:
         sl = ensure_bits(self.sl, name="sl")
         if bl.size != sl.size:
             raise DimensionError("bl and sl must have equal length")
+        line_counts(bl.size, wwl.size)
         try:
             rwl = integer_setting(self.rwl, "rwl", high=1)
         except ValueError:
@@ -71,16 +73,6 @@ class SignalFrame:
         return cls(1, np.zeros(n_hidden, dtype=np.uint8),
                    np.zeros(n_visible, dtype=np.uint8),
                    np.zeros(n_visible, dtype=np.uint8))
-
-    @classmethod
-    def write_frame(cls, column, bl, sl, n_hidden):
-        try:
-            column = integer_setting(column, "column", high=n_hidden - 1)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-        wwl = np.zeros(n_hidden, dtype=np.uint8)
-        wwl[column] = 1
-        return cls(0, wwl, bl, sl)
 
     def __eq__(self, other):
         if not isinstance(other, SignalFrame):

@@ -20,18 +20,14 @@ from .oracle import (DenseRbm, check_exact_nodes, exact_distribution,
                      gibbs_joint_counts, tv_distance)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _non_negative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer of at least ``low`` in ASCII digits, as
+    ``int`` alone also reads other scripts' digits, '_' and signs."""
+    def integer(text):
+        if not (text.isascii() and text.isdecimal()) or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text}")
+        return int(text)
+    return integer
 
 
 def _register_bits(text, flag, width):
@@ -110,13 +106,13 @@ def build_parser():
                        help="layer sizes, e.g. 784x500x10")
     train.add_argument("--images", required=True, help="IDX image file (.gz ok)")
     train.add_argument("--labels", required=True, help="IDX label file (.gz ok)")
-    train.add_argument("--train-samples", type=_non_negative_int, default=None,
+    train.add_argument("--train-samples", type=_int_at_least(0), default=None,
                        help="use only the first N samples")
-    train.add_argument("--epochs", type=_non_negative_int, default=1)
-    train.add_argument("--seed", type=_non_negative_int, default=1)
-    train.add_argument("--levels", type=_positive_int, default=32,
+    train.add_argument("--epochs", type=_int_at_least(0), default=1)
+    train.add_argument("--seed", type=_int_at_least(0), default=1)
+    train.add_argument("--levels", type=_int_at_least(1), default=32,
                        help="synapse quantization levels")
-    train.add_argument("--delta-d", type=_positive_int, default=1,
+    train.add_argument("--delta-d", type=_int_at_least(1), default=1,
                        help="index steps per write pulse")
     train.add_argument("--input-scale", type=float, default=1.0)
     train.add_argument("--no-biases", action="store_true",
@@ -128,13 +124,13 @@ def build_parser():
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--images", required=True)
     evaluate.add_argument("--labels", required=True)
-    evaluate.add_argument("--test-samples", type=_non_negative_int, default=None)
+    evaluate.add_argument("--test-samples", type=_int_at_least(0), default=None)
     evaluate.set_defaults(handler=_cmd_eval)
 
     tracer = commands.add_parser(
         "trace", help="dump one CD iteration as VCD from given registers")
-    tracer.add_argument("--visible", type=_positive_int, required=True)
-    tracer.add_argument("--hidden", type=_positive_int, required=True)
+    tracer.add_argument("--visible", type=_int_at_least(1), required=True)
+    tracer.add_argument("--hidden", type=_int_at_least(1), required=True)
     tracer.add_argument("--v", required=True,
                         help="v register, most significant bit first")
     tracer.add_argument("--h", required=True)
@@ -152,10 +148,10 @@ def build_parser():
 
     orc = commands.add_parser(
         "oracle", help="Gibbs chain vs exact Boltzmann distribution")
-    orc.add_argument("--visible", type=_positive_int, required=True)
-    orc.add_argument("--hidden", type=_positive_int, required=True)
-    orc.add_argument("--sweeps", type=_positive_int, default=100000)
-    orc.add_argument("--seed", type=_non_negative_int, default=1)
+    orc.add_argument("--visible", type=_int_at_least(1), required=True)
+    orc.add_argument("--hidden", type=_int_at_least(1), required=True)
+    orc.add_argument("--sweeps", type=_int_at_least(1), default=100000)
+    orc.add_argument("--seed", type=_int_at_least(0), default=1)
     orc.set_defaults(handler=_cmd_oracle)
     return parser
 

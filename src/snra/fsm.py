@@ -64,8 +64,9 @@ def update_rails(v, h, v_bar, h_bar):
 
 def update_frame(v, h, v_bar, h_bar, column):
     """Write frame of Update clock ``column``, which is trusted to index h."""
-    bl, sl = update_rails(v, h[column], v_bar, h_bar[column])
-    return SignalFrame.write_frame(column, bl, sl, h.size)
+    wwl = np.zeros(h.size, dtype=np.uint8)
+    wwl[column] = 1
+    return SignalFrame(0, wwl, *update_rails(v, h[column], v_bar, h_bar[column]))
 
 
 class CdFsm:
@@ -180,8 +181,12 @@ def layer_sizes(topology):
 
 def parse_topology(text):
     """Parse '784x500x10' into validated layer sizes."""
+    parts = str(text).strip().lower().split("x")
     try:
-        sizes = [int(p) for p in str(text).strip().lower().split("x")]
+        # Only ASCII digits: int alone also reads other scripts' digits, '_' and signs.
+        if not all(part.isascii() and part.isdecimal() for part in parts):
+            raise ValueError(text)
+        sizes = [int(part) for part in parts]
     except ValueError:
         raise DimensionError(f"cannot parse topology {text!r}") from None
     return layer_sizes(sizes)

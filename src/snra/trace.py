@@ -11,8 +11,9 @@ marker.  Vector values are written MSB first, so register element 0 is
 the rightmost character; released bit and source lines are dumped as 'z'.
 Every value is exactly as wide as its wire and holds only 0s and 1s, or 'z'
 on BL and SL: ``write_vcd`` writes no other and ``parse_vcd`` reads no other.
-``write_vcd`` takes only ``SignalFrame``s, checked when built, and renders
-each rail wire with one ``bits_to_string`` over the whole dump.
+A clock is checked once, when its ``TraceStep`` is built: ``write_vcd``
+checks only that the steps' widths agree, and renders each rail wire with
+one ``bits_to_string`` over the whole dump.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ import numpy as np
 
 from .array import SignalFrame
 from .bits import bits_from_string, bits_to_string, ensure_bits, integer_setting
-from .device import line_counts
 from .errors import ProtocolError
 from .fsm import CLOCK_PERIOD_S, State, update_frame
 
@@ -32,13 +32,25 @@ _SIGNAL_ORDER = ("CLK", "STATE", "RWL", "WWL", "BL", "SL", "COUNTER")
 _TICKS_PER_CLOCK = round(CLOCK_PERIOD_S * 1e9)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceStep:
-    """One clock of observable controller state."""
+    """One clock of observable controller state, checked once when built; a
+    2-bit STATE and a COUNTER in [0, n_hidden] are kept as ints."""
 
     frame: SignalFrame
     state: int
     counter: int
+
+    def __post_init__(self):
+        if not isinstance(self.frame, SignalFrame):
+            raise ProtocolError(f"frame must be a SignalFrame, got {type(self.frame).__name__}")
+        try:
+            state = integer_setting(self.state, "STATE", high=3)
+            counter = integer_setting(self.counter, "COUNTER", high=self.frame.wwl.size)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "counter", counter)
 
 
 def iteration_steps(v, h, v_bar, h_bar):
@@ -50,7 +62,6 @@ def iteration_steps(v, h, v_bar, h_bar):
     """
     v = ensure_bits(v, name="v register")
     h = ensure_bits(h, name="h register")
-    line_counts(v.size, h.size)
     v_bar = ensure_bits(v_bar, v.size, "v_bar register")
     h_bar = ensure_bits(h_bar, h.size, "h_bar register")
     read = SignalFrame.read_frame(v.size, h.size)
@@ -80,36 +91,25 @@ def _rail_column(steps, name, at, width, rest):
 def write_vcd(steps, path=None):
     """Render trace steps as VCD text; optionally write it to a file.
 
-    Frames must be ``SignalFrame``s, checked when built.  Another frame, a WWL
-    or BL of another width than its wire, the wire of an empty register, or a
-    STATE or COUNTER out of range raises ``ProtocolError`` before any write."""
+    Steps must be ``TraceStep``s, checked when built.  Another step, or a WWL
+    or BL of another width than its wire, raises ``ProtocolError`` before any
+    write."""
     if not steps:
         raise ProtocolError("cannot dump an empty trace")
     for k, step in enumerate(steps):
-        if not isinstance(step.frame, SignalFrame):
-            raise ProtocolError(f"step {k}: frame must be a SignalFrame, "
-                                f"got {type(step.frame).__name__}")
+        if not isinstance(step, TraceStep):
+            raise ProtocolError(f"step {k}: expected a TraceStep, got {type(step).__name__}")
     n_visible, n_hidden = steps[0].frame.bl.size, steps[0].frame.wwl.size
     # The column counter has ceil(log2(n_hidden + 1)) bits.
     widths = (1, 2, 1, n_hidden, n_visible, n_visible, n_hidden.bit_length())
     wires = tuple(zip(_SIGNAL_ORDER, _ID_CODES, widths))
     lines = ["$timescale 1ns $end", "$scope module cd_fsm $end"]
     for name, code, width in wires:
-        if width < 1:
-            raise ProtocolError(f"cannot dump {name} as a wire of 0 bits")
         rng = f" [{width - 1}:0]" if width > 1 else ""
         lines.append(f"$var wire {width} {code} {name}{rng} $end")
     lines += ["$upscope $end", "$enddefinitions $end"]
 
-    states, counters = [], []
-    state_name, counter_name = "STATE of the 2-bit wire", f"COUNTER of the {widths[6]}-bit wire"
     for k, step in enumerate(steps):
-        try:
-            states.append(format(integer_setting(step.state, state_name, high=3), "02b"))
-            counters.append(format(integer_setting(step.counter, counter_name, high=n_hidden),
-                                   f"0{widths[6]}b"))
-        except ValueError as exc:
-            raise ProtocolError(f"step {k}: {exc}") from None
         # A frame's rwl is 0 or 1, and its bl and sl are equally wide.
         sizes = (step.frame.wwl.size, step.frame.bl.size)
         for name, size, width in zip(_SIGNAL_ORDER[3:5], sizes, widths[3:5]):
@@ -118,12 +118,13 @@ def write_vcd(steps, path=None):
                                     f"for its {width}-bit wire")
     # The idle tail is a read clock at FEED_FORWARD with the counter at 0.
     writes = [k for k, step in enumerate(steps) if not step.frame.rwl]
-    columns = (["1", "0"] * (len(steps) // 2 + 1), states + ["00"],
+    columns = (["1", "0"] * (len(steps) // 2 + 1),
+               [format(step.state, "02b") for step in steps] + ["00"],
                [str(step.frame.rwl) for step in steps] + ["1"],
                _rail_column(steps, "wwl", range(len(steps)), n_hidden, "0" * n_hidden),
                _rail_column(steps, "bl", writes, n_visible, "z" * n_visible),
                _rail_column(steps, "sl", writes, n_visible, "z" * n_visible),
-               counters + ["0" * widths[6]])
+               [format(step.counter, f"0{widths[6]}b") for step in steps] + ["0" * widths[6]])
     previous = (None,) * len(wires)
     for k, values in enumerate(zip(*columns)):
         lines.append(f"#{k * _TICKS_PER_CLOCK}")
@@ -233,15 +234,13 @@ def steps_from_vcd(trace):
     steps = []
     for time, values in trace.snapshots[:-1]:
         try:
-            state = int(values["STATE"], 2)
-            counter = integer_setting(int(values["COUNTER"], 2), "COUNTER", high=n_hidden)
             if int(values["RWL"], 2):
                 frame = SignalFrame.read_frame(n_visible, n_hidden)
             else:
                 frame = SignalFrame(0, bits_from_string(values["WWL"]),
                                     bits_from_string(values["BL"]),
                                     bits_from_string(values["SL"]))
-        except (KeyError, ValueError) as exc:
+            steps.append(TraceStep(frame, int(values["STATE"], 2), int(values["COUNTER"], 2)))
+        except (KeyError, ValueError, ProtocolError) as exc:
             raise ProtocolError(f"unreadable VCD step at #{time}: {exc!r}") from None
-        steps.append(TraceStep(frame, state, counter))
     return steps

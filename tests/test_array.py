@@ -20,7 +20,7 @@ class TestSignalFrame:
         assert not frame.wwl.any() and not frame.bl.any() and not frame.sl.any()
 
     def test_write_frame_selects_one_column(self):
-        frame = SignalFrame.write_frame(1, [1, 0, 0, 0], [0, 0, 1, 0], 3)
+        frame = SignalFrame(0, [0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0])
         assert frame.rwl == 0
         assert frame.wwl.tolist() == [0, 1, 0]
         assert frame.column == 1
@@ -48,9 +48,13 @@ class TestSignalFrame:
             SignalFrame(2, [0], [0], [0])
         with pytest.raises(DimensionError):
             SignalFrame(0, [1], [0, 0], [0])
-        for column in (3, 1.0, np.float64(1.0)):
-            with pytest.raises(ProtocolError):
-                SignalFrame.write_frame(column, [0], [0], 2)
+
+    @pytest.mark.parametrize("n_visible, n_hidden, count", [
+        (1, 0, "n_hidden"), (0, 1, "n_visible")], ids=["no-wwl", "no-bl"])
+    def test_an_empty_rail_is_refused(self, n_visible, n_hidden, count):
+        # An empty rail would be a wire of 0 bits, which no dump can declare.
+        with pytest.raises(DimensionError, match=f"^{count} must be at least 1, got 0$"):
+            SignalFrame.read_frame(n_visible, n_hidden)
 
     def test_non_integer_rwl_rejected(self):
         # A float is neither truncated nor compared as if it were an integer.
@@ -64,9 +68,9 @@ class TestSignalFrame:
         assert frame.rwl == 0 and type(frame.rwl) is int
 
     def test_equality(self):
-        a = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
-        b = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
-        c = SignalFrame.write_frame(1, [1, 0], [0, 1], 2)
+        a = SignalFrame(0, [1, 0], [1, 0], [0, 1])
+        b = SignalFrame(0, [1, 0], [1, 0], [0, 1])
+        c = SignalFrame(0, [0, 1], [1, 0], [0, 1])
         assert a == b and a != c
         assert a != "frame" and a != (0, [1, 0], [0, 1])
 
@@ -75,7 +79,7 @@ class TestSignalFrame:
             SignalFrame.read_frame(2, 2).column
 
     def test_built_frame_cannot_change(self):
-        frame = SignalFrame.write_frame(0, [1, 0], [0, 1], 2)
+        frame = SignalFrame(0, [1, 0], [1, 0], [0, 1])
         for rail in (frame.wwl, frame.bl, frame.sl):
             with pytest.raises(ValueError):
                 rail[0] ^= 1
@@ -84,13 +88,13 @@ class TestSignalFrame:
 
     def test_caller_array_stays_writable(self):
         bl = np.array([1, 0], dtype=np.uint8)
-        frame = SignalFrame.write_frame(1, bl, np.zeros(2, dtype=np.uint8), 2)
+        frame = SignalFrame(0, [0, 1], bl, np.zeros(2, dtype=np.uint8))
         assert bl.flags.writeable and not frame.bl.flags.writeable
         bl[0] = 0
 
     def test_caller_edit_does_not_reach_a_built_frame(self):
         bl = np.array([1, 0], dtype=np.uint8)
-        frame = SignalFrame.write_frame(1, bl, np.zeros(2, dtype=np.uint8), 2)
+        frame = SignalFrame(0, [0, 1], bl, np.zeros(2, dtype=np.uint8))
         bl[0] = 0
         assert frame.bl.tolist() == [1, 0]
         # A read frame cannot gain a driven rail after its one check.
@@ -281,7 +285,7 @@ class TestApplyFrame:
         grid = SynapseGrid(4, 2, levels=32)
         crossbar = RbmArray(grid)
         before = grid.states.copy()
-        crossbar.apply_frame(SignalFrame.write_frame(0, [1, 0, 1, 0], [0, 0, 0, 0], 2))
+        crossbar.apply_frame(SignalFrame(0, [1, 0], [1, 0, 1, 0], [0, 0, 0, 0]))
         delta = grid.states - before
         assert delta[:, 0].tolist() == [1, 0, 1, 0]
         assert not delta[:, 1].any()
@@ -290,7 +294,7 @@ class TestApplyFrame:
         grid = SynapseGrid(3, 2)
         crossbar = RbmArray(grid)
         before = grid.states.copy()
-        crossbar.apply_frame(SignalFrame.write_frame(1, [1, 1, 0], [1, 0, 0], 2))
+        crossbar.apply_frame(SignalFrame(0, [0, 1], [1, 1, 0], [1, 0, 0]))
         delta = grid.states - before
         assert delta[:, 1].tolist() == [0, 1, 0]
 
@@ -299,12 +303,12 @@ class TestApplyFrame:
         grid = SynapseGrid.uniform_random(4, 3, rng)
         crossbar = RbmArray(grid)
         before = grid.states.copy()
-        crossbar.apply_frame(SignalFrame.write_frame(2, [1, 1, 1, 1], [0, 0, 0, 0], 3))
+        crossbar.apply_frame(SignalFrame(0, [0, 0, 1], [1, 1, 1, 1], [0, 0, 0, 0]))
         assert (grid.states[:, :2] == before[:, :2]).all()
 
     def test_frame_width_validation(self):
         crossbar = zero_weight_array(3, 2)
         with pytest.raises(DimensionError):
-            crossbar.apply_frame(SignalFrame.write_frame(0, [1, 0], [0, 0], 2))
+            crossbar.apply_frame(SignalFrame(0, [1, 0], [1, 0], [0, 0]))
         with pytest.raises(DimensionError):
-            crossbar.apply_frame(SignalFrame.write_frame(0, [1, 0, 0], [0, 0, 0], 3))
+            crossbar.apply_frame(SignalFrame(0, [1, 0, 0], [1, 0, 0], [0, 0, 0]))

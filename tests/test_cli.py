@@ -84,6 +84,19 @@ def test_out_of_range_flags_exit_1(capsys, tmp_path, extra):
     assert not (tmp_path / "model.snra").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["power", "--topology", "784x500x{}", "--tech", "sram"],
+    ["oracle", "--visible", "2", "--hidden", "1", "--sweeps", "{}"],
+    ["oracle", "--visible", "2", "--hidden", "1", "--sweeps", "10", "--seed", "{}"],
+], ids=["topology", "positive-flag", "non-negative-flag"])
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "+3"],
+                         ids=["arabic-indic-3", "underscore", "sign"])
+def test_integer_text_outside_ascii_digits_exits_1(capsys, argv, text):
+    # int alone reads each of these as an integer, and every command here
+    # runs on the integer it reads.
+    assert run([arg.format(text) for arg in argv], capsys) == (1, "")
+
+
 def test_eval_prints_the_error_rate_of_the_trained_model(capsys, tmp_path):
     assert run(train_argv(tmp_path, "--seed", "4"), capsys)[0] == 0
     test_dir = tmp_path / "test"

@@ -126,6 +126,14 @@ def test_parse_topology():
             fsm.parse_topology(bad)
 
 
+@pytest.mark.parametrize("size", ["\u0663", "1_0", "+3"],
+                         ids=["arabic-indic-3", "underscore", "sign"])
+def test_parse_topology_reads_sizes_only_in_ascii_digits(size):
+    # int alone reads each of these as a size.
+    with pytest.raises(DimensionError, match="^cannot parse topology"):
+        fsm.parse_topology(f"784x500x{size}")
+
+
 def test_largest_rbm_picks_most_synapses():
     assert power.largest_rbm((784, 500, 800, 10)) == (500, 800)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import numpy as np
@@ -135,16 +136,32 @@ def test_a_read_frame_rail_narrower_than_its_wire_is_rejected(rail, wire, tmp_pa
     assert not path.exists()
 
 
-def test_a_frame_that_is_not_a_signal_frame_is_refused(tmp_path):
-    # Rails are checked once, when a SignalFrame is built; write_vcd trusts
-    # them and refuses any other frame, even one holding valid rails.
+def test_a_frame_that_is_not_a_signal_frame_is_refused():
+    # Rails are checked once, when a SignalFrame is built; a step refuses
+    # any other frame, even one holding valid rails.
+    step = iteration_steps([1, 0, 1], [1, 0, 1, 1, 0], [0, 1, 1], [0, 1, 1, 0, 1])[4]
+    with pytest.raises(ProtocolError, match="^frame must be a SignalFrame, "
+                                            "got SimpleNamespace$"):
+        TraceStep(duck_frame(step.frame), step.state, step.counter)
+
+
+def test_a_step_that_is_not_a_trace_step_is_refused(tmp_path):
+    # A step is checked once, when built; write_vcd trusts it and refuses
+    # any other step, even one holding a valid frame and registers.
     steps = iteration_steps([1, 0, 1], [1, 0, 1, 1, 0], [0, 1, 1], [0, 1, 1, 0, 1])
-    steps[4] = TraceStep(duck_frame(steps[4].frame), steps[4].state, steps[4].counter)
+    steps[4] = types.SimpleNamespace(**vars(steps[4]))
     path = tmp_path / "trace.vcd"
-    with pytest.raises(ProtocolError, match="^step 4: frame must be a SignalFrame, "
+    with pytest.raises(ProtocolError, match="^step 4: expected a TraceStep, "
                                             "got SimpleNamespace$"):
         write_vcd(steps, path)
     assert not path.exists()
+
+
+def test_a_built_step_cannot_change():
+    step = iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.counter = 9
+    assert step.counter == 2
 
 
 def test_timestamps_step_by_the_clock_period():
@@ -184,22 +201,16 @@ def test_iteration_steps_rejects_an_empty_register(empty, count):
         iteration_steps(v, h, v, h)
 
 
-def _wider_state(steps):
-    steps[1] = TraceStep(steps[1].frame, 7, 0)
-
-
-def _wider_counter(steps):
-    # Three hidden columns give the counter 2 bits; 4 needs 3.
-    steps[-1] = TraceStep(steps[-1].frame, State.UPDATE, 4)
-
-
 def _narrower_step(steps):
     steps[2] = TraceStep(SignalFrame.read_frame(2, 2), State.RECONSTRUCT, 0)
 
 
-@pytest.mark.parametrize("damage, wire", [
-    (_wider_state, "STATE"), (_wider_counter, "COUNTER"), (_narrower_step, "WWL")],
-    ids=["state-7", "counter-4", "step-of-another-width"])
+def _narrower_write_step(steps):
+    steps[-1] = TraceStep(SignalFrame(0, [0, 1], [1, 0], [0, 1]), State.UPDATE, 1)
+
+
+@pytest.mark.parametrize("damage, wire", [(_narrower_step, "WWL"), (_narrower_write_step, "WWL")],
+                         ids=["step-of-another-width", "write-step-of-another-width"])
 def test_write_vcd_rejects_a_value_of_another_width_than_its_wire(damage, wire, tmp_path):
     steps = iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])
     damage(steps)
@@ -207,12 +218,6 @@ def test_write_vcd_rejects_a_value_of_another_width_than_its_wire(damage, wire, 
     with pytest.raises(ProtocolError, match=f"{wire} .*-bit wire"):
         write_vcd(steps, path)
     assert not path.exists()
-
-
-def test_write_vcd_refuses_a_wire_of_zero_bits():
-    steps = [TraceStep(SignalFrame.read_frame(1, 0), State.FEED_FORWARD, 0)]
-    with pytest.raises(ProtocolError, match="WWL as a wire of 0 bits"):
-        write_vcd(steps)
 
 
 def test_dump_with_two_wwl_bits_set_is_rejected():
@@ -294,18 +299,24 @@ def test_parse_vcd_reads_a_released_line_only_on_bl_and_sl(name):
             parse_vcd(text)
 
 
-@pytest.mark.parametrize("state, counter", [
-    (-1, 0), (4, 0), (State.UPDATE, -1), (State.UPDATE, 6), (State.UPDATE, 1.0),
-    (State.UPDATE, np.float64(1.0)), ("1", 0), (1.0, 0),
-], ids=["state--1", "state-4", "counter--1", "counter-past-n_hidden", "counter-float",
-        "counter-numpy-float", "state-string", "state-float"])
-def test_write_vcd_rejects_a_register_value_outside_its_range(state, counter, tmp_path):
-    # Five columns count on a 3-bit wire, so 6 has the wire's width but is
-    # no column counter.
-    steps = iteration_steps([1, 0], [1, 0, 1, 0, 1], [0, 1], [0, 1, 1, 0, 0])
-    steps[4] = TraceStep(steps[4].frame, state, counter)
+@pytest.mark.parametrize("n_hidden, state, counter", [
+    (5, -1, 0), (5, 4, 0), (3, 7, 0), (5, State.UPDATE, -1), (3, State.UPDATE, 4),
+    (5, State.UPDATE, 6), (5, State.UPDATE, 1.0), (5, State.UPDATE, np.float64(1.0)),
+    (5, "1", 0), (5, 1.0, 0),
+], ids=["state--1", "state-4", "state-7", "counter--1", "counter-4", "counter-past-n_hidden",
+        "counter-float", "counter-numpy-float", "state-string", "state-float"])
+def test_write_vcd_rejects_a_register_value_outside_its_range(n_hidden, state, counter,
+                                                              tmp_path):
+    # Three columns count on a 2-bit wire, which 4 overflows; five count on
+    # a 3-bit wire, where 6 fits but is no column counter.
+    steps = iteration_steps([1, 0], [1, 0, 1, 0, 1][:n_hidden], [0, 1], [0, 1, 1, 0, 0][:n_hidden])
+    # The step refuses the value when built, so it reaches write_vcd only in
+    # another object, which write_vcd refuses before writing.
+    with pytest.raises(ProtocolError, match="^(STATE|COUNTER) must "):
+        TraceStep(steps[4].frame, state, counter)
+    steps[4] = types.SimpleNamespace(frame=steps[4].frame, state=state, counter=counter)
     path = tmp_path / "trace.vcd"
-    with pytest.raises(ProtocolError, match="^step 4: (STATE|COUNTER) "):
+    with pytest.raises(ProtocolError, match="^step 4: expected a TraceStep"):
         write_vcd(steps, path)
     assert not path.exists()
 
@@ -314,6 +325,8 @@ def test_write_vcd_takes_numpy_and_enum_registers():
     steps = iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])
     numpy_steps = [TraceStep(step.frame, np.int64(step.state), np.uint8(step.counter))
                    for step in steps]
+    # A step keeps its registers as ints, as a frame keeps its rwl.
+    assert all(type(step.state) is type(step.counter) is int for step in numpy_steps + steps)
     assert write_vcd(numpy_steps) == write_vcd(steps)
 
 
