@@ -5,6 +5,7 @@ to 1.  Exit codes: 0 success, 1 user error, 2 internal error.
 """
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -28,6 +29,17 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text}")
         return int(text)
     return integer
+
+
+_DECIMAL = re.compile(r"[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?|\.[0-9]+([eE][-+]?[0-9]+)?")
+
+
+def _decimal(text):
+    """An argparse type: a real number in ASCII decimal text, as ``float``
+    alone also reads other scripts' digits, '_', spaces and signs."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text}")
+    return float(text)
 
 
 def _register_bits(text, flag, width):
@@ -114,7 +126,7 @@ def build_parser():
                        help="synapse quantization levels")
     train.add_argument("--delta-d", type=_int_at_least(1), default=1,
                        help="index steps per write pulse")
-    train.add_argument("--input-scale", type=float, default=1.0)
+    train.add_argument("--input-scale", type=_decimal, default=1.0)
     train.add_argument("--no-biases", action="store_true",
                        help="disable bias devices")
     train.add_argument("--out", required=True, help="model output path")

@@ -289,7 +289,8 @@ def to_bytes(model):
     """Serialize a model.
 
     Layout (little-endian): the ``_HEADER`` fields; u32 per layer size; the
-    ``_CONFIG`` fields (flags bit 0 = biases on); then per RBM layer the u16
+    ``_CONFIG`` fields (flags bit 0 = biases on; no other bit is defined, and
+    ``from_bytes`` refuses a file that sets one); then per RBM layer the u16
     state grid row-major, the u16 visible bias states, and the u16 hidden
     bias states.
     """
@@ -331,6 +332,8 @@ def from_bytes(data):
     except DimensionError as exc:
         raise ModelFormatError(f"corrupt topology: {exc}") from None
     (*settings, flags), offset = _unpack(_CONFIG, data, offset, "device config")
+    if flags & ~_FLAG_USE_BIASES:
+        raise ModelFormatError(f"unknown model flag bits 0x{flags & ~_FLAG_USE_BIASES:04x}")
     payload = 2 * sum(n_v * n_h + n_v + n_h for n_v, n_h in zip(sizes[:-1], sizes[1:]))
     remaining = len(data) - offset
     if remaining != payload:

@@ -13,7 +13,8 @@ Every value is exactly as wide as its wire and holds only 0s and 1s, or 'z'
 on BL and SL: ``write_vcd`` writes no other and ``parse_vcd`` reads no other.
 A clock is checked once, when its ``TraceStep`` is built: ``write_vcd``
 checks only that the steps' widths agree, and renders each rail wire with
-one ``bits_to_string`` over the whole dump.
+one ``bits_to_string`` over the whole dump.  ``steps_from_vcd`` builds every
+clock from its own dumped rails and accepts a dump only as ``write_vcd`` writes it.
 """
 
 from dataclasses import dataclass
@@ -158,12 +159,6 @@ class VcdTrace:
     variables: list
     snapshots: list
 
-    def width(self, name):
-        for var in self.variables:
-            if var.name == name:
-                return var.width
-        raise ProtocolError(f"VCD declares no variable {name}")
-
 
 def _malformed(number, line):
     return ProtocolError(f"malformed VCD line {number}: {line.strip()!r}")
@@ -227,20 +222,24 @@ def parse_vcd(text):
 
 
 def steps_from_vcd(trace):
-    """Rebuild trace steps from a parsed dump (final idle snapshot dropped);
-    a step it cannot read raises ``ProtocolError`` naming its timestamp."""
-    n_visible = trace.width("BL")
-    n_hidden = trace.width("WWL")
+    """Rebuild trace steps from a parsed dump, its final idle snapshot dropped:
+    each clock's frame from its own RWL, WWL, BL and SL, a released 'z' read as
+    0.  The dump must be ``write_vcd``'s dump of those steps; a step it cannot
+    read, or a dump that differs, raises ``ProtocolError`` naming the first
+    timestamp that differs, or the header."""
     steps = []
     for time, values in trace.snapshots[:-1]:
         try:
-            if int(values["RWL"], 2):
-                frame = SignalFrame.read_frame(n_visible, n_hidden)
-            else:
-                frame = SignalFrame(0, bits_from_string(values["WWL"]),
-                                    bits_from_string(values["BL"]),
-                                    bits_from_string(values["SL"]))
-            steps.append(TraceStep(frame, int(values["STATE"], 2), int(values["COUNTER"], 2)))
+            rails = (bits_from_string(values[name].replace("z", "0"), name)
+                     for name in ("WWL", "BL", "SL"))
+            steps.append(TraceStep(SignalFrame(int(values["RWL"], 2), *rails),
+                                   int(values["STATE"], 2), int(values["COUNTER"], 2)))
         except (KeyError, ValueError, ProtocolError) as exc:
             raise ProtocolError(f"unreadable VCD step at #{time}: {exc!r}") from None
+    written = parse_vcd(write_vcd(steps))
+    if (trace.timescale, trace.variables) != (written.timescale, written.variables):
+        raise ProtocolError("VCD header differs from write_vcd's")
+    for (time, values), expected in zip(trace.snapshots, written.snapshots):
+        if (time, values) != expected:
+            raise ProtocolError(f"VCD differs from write_vcd's dump of its steps at #{time}")
     return steps

@@ -75,6 +75,44 @@ MUTANTS = (
     Mutant("clamped-hidden-ignored", "src/snra/fsm.py",
            "            if clamp_hidden is not None:\n", "            if False:\n",
            ("tests/test_fsm.py::TestIteration::test_clamped_hidden_register",)),
+    Mutant("dtype-rule-without-bias-cell", "src/snra/device.py",
+           "(max(shape) + 1) * (self.levels - 1) < 2**24",
+           "max(shape) * (self.levels - 1) < 2**24",
+           ("tests/test_device.py::TestExactNets::test_dtype_rule_keeps_the_largest_sums_exact",)),
+    Mutant("dtype-rule-of-visible-lines-only", "src/snra/device.py",
+           "dtype = np.float32 if (max(shape) + 1)", "dtype = np.float32 if (shape[0] + 1)",
+           ("tests/test_device.py::TestExactNets::test_dtype_rule_keeps_the_largest_sums_exact",)),
+    Mutant("dtype-rule-past-float32-exact", "src/snra/device.py",
+           "< 2**24 else np.float64", "< 2**25 else np.float64",
+           ("tests/test_device.py::TestExactNets::test_dtype_rule_keeps_the_largest_sums_exact",)),
+    Mutant("pulse-step-uncapped", "src/snra/device.py",
+           "min(self.delta_d, self.levels - 1)", "self.delta_d",
+           ("tests/test_device.py::TestSynapseGrid::"
+            "test_float32_steps_saturate_as_exact_integer_steps",)),
+    Mutant("pcg64-increment-even", "src/snra/dbn.py",
+           "<< 1 | 1) & _U128", "<< 1) & _U128",
+           ("tests/test_dbn.py::TestDerivedStreams::test_stream_rows_equal_derived_rng",)),
+    Mutant("pcg64-hash-without-xorshift", "src/snra/dbn.py",
+           "    hashed ^= hashed >> 16\n", "",
+           ("tests/test_dbn.py::TestDerivedStreams::test_stream_rows_equal_derived_rng",)),
+    Mutant("pcg64-hash-without-multiply", "src/snra/dbn.py",
+           "    hashed *= _HASH[1:].reshape(2, 4)\n", "",
+           ("tests/test_dbn.py::TestDerivedStreams::test_stream_rows_equal_derived_rng",)),
+    Mutant("rail-column-in-reverse-step-order", "src/snra/trace.py",
+           "for k in at[::-1]]", "for k in at]",
+           ("tests/test_trace.py::TestRenderingMatchesTheStepwiseWriter::"
+            "test_every_piece_of_a_recorded_iteration",)),
+    Mutant("vcd-reader-without-round-trip", "src/snra/trace.py",
+           "    written = parse_vcd(write_vcd(steps))\n", "    return steps\n",
+           ("tests/test_trace.py::"
+            "test_every_one_character_edit_of_a_dump_is_refused_or_read_back_faithfully",)),
+    Mutant("model-flag-bits-ignored", "src/snra/dbn.py",
+           "    if flags & ~_FLAG_USE_BIASES:\n", "    if False:\n",
+           ("tests/test_dbn.py::TestSerialization::"
+            "test_unknown_flag_bits_rejected_before_any_grid",)),
+    Mutant("input-scale-any-float-text", "src/snra/cli.py",
+           "    if not _DECIMAL.fullmatch(text):\n", "    if False:\n",
+           ("tests/test_cli.py::test_integer_text_outside_ascii_digits_exits_1",)),
 )
 
 

@@ -88,13 +88,24 @@ def test_out_of_range_flags_exit_1(capsys, tmp_path, extra):
     ["power", "--topology", "784x500x{}", "--tech", "sram"],
     ["oracle", "--visible", "2", "--hidden", "1", "--sweeps", "{}"],
     ["oracle", "--visible", "2", "--hidden", "1", "--sweeps", "10", "--seed", "{}"],
-], ids=["topology", "positive-flag", "non-negative-flag"])
-@pytest.mark.parametrize("text", ["\u0663", "1_0", "+3"],
-                         ids=["arabic-indic-3", "underscore", "sign"])
-def test_integer_text_outside_ascii_digits_exits_1(capsys, argv, text):
-    # int alone reads each of these as an integer, and every command here
-    # runs on the integer it reads.
-    assert run([arg.format(text) for arg in argv], capsys) == (1, "")
+    ["train", "--topology", "784x2", "--images", "{images}", "--labels", "{labels}",
+     "--out", "{out}", "--input-scale", "{}"],
+], ids=["topology", "positive-flag", "non-negative-flag", "real-flag"])
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "+3", "\uff12", " 2 "],
+                         ids=["arabic-indic-3", "underscore", "sign", "fullwidth-2", "spaces"])
+def test_integer_text_outside_ascii_digits_exits_1(capsys, tmp_path, argv, text):
+    # int and float alone read each of these as a number, and every command
+    # here runs on the number it reads.
+    images, labels = write_idx_pair(tmp_path, np.eye(2, 784), [0, 1])
+    paths = {"images": images, "labels": labels, "out": tmp_path / "model.snra"}
+    assert run([arg.format(text, **paths) for arg in argv], capsys) == (1, "")
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("text, scale", [("0.5", 0.5), ("1e-1", 0.1), (".25E+1", 2.5)])
+def test_input_scale_reads_ascii_decimal_text(capsys, tmp_path, text, scale):
+    assert run(train_argv(tmp_path, "--input-scale", text), capsys)[0] == 0
+    assert dbn.load_model(tmp_path / "model.snra").input_scale == scale
 
 
 def test_eval_prints_the_error_rate_of_the_trained_model(capsys, tmp_path):

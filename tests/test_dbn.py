@@ -90,6 +90,21 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="corrupt device state"):
             dbn.from_bytes(bytes(data))
 
+    @pytest.mark.parametrize("flags, unknown", [(0x0002, "0x0002"), (0xFFFF, "0xfffe")])
+    def test_unknown_flag_bits_rejected_before_any_grid(self, monkeypatch, flags, unknown):
+        # Only bit 0 is defined; a model loaded past another bit would save
+        # as a different file.
+        data = dbn.to_bytes(dbn.DbnModel((2, 1)))
+        at = len(header((2, 1))) - 2
+        assert struct.unpack_from("<H", data, at) == (1,)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the flags were checked")
+
+        monkeypatch.setattr(dbn, "SynapseGrid", no_grid)
+        with pytest.raises(ModelFormatError, match=f"^unknown model flag bits {unknown}$"):
+            dbn.from_bytes(data[:at] + struct.pack("<H", flags) + data[at + 2:])
+
     def test_bad_topology_rejected(self):
         for sizes in ((784,), (784, 0)):
             with pytest.raises(ModelFormatError):

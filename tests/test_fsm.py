@@ -46,7 +46,8 @@ class TestStateMachine:
         for n_hidden, width in ((1, 1), (2, 2), (4, 3), (10, 4)):
             zeros = np.zeros(n_hidden, dtype=np.uint8)
             steps = iteration_steps([1], zeros, [0], zeros)
-            assert parse_vcd(write_vcd(steps)).width("COUNTER") == width
+            variables = parse_vcd(write_vcd(steps)).variables
+            assert {var.name: var.width for var in variables}["COUNTER"] == width
 
     def test_initial_registers(self):
         fsm = CdFsm(4, 2)

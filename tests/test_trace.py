@@ -28,13 +28,17 @@ def recorded_iteration(n_visible=5, n_hidden=3, seed=4):
             return controller, steps
 
 
+def _widths(trace):
+    return {var.name: var.width for var in trace.variables}
+
+
 def test_recorded_iteration_round_trips_through_vcd():
     # The counter wire is 1, 2, 3, 3 and 4 bits wide at these widths.
     for n_hidden in (3, 1, 4, 7, 8):
         controller, steps = recorded_iteration(n_hidden=n_hidden)
         assert len(steps) == controller.n_hidden + 3
         trace = parse_vcd(write_vcd(steps))
-        assert trace.width("COUNTER") == n_hidden.bit_length()
+        assert _widths(trace)["COUNTER"] == n_hidden.bit_length()
         assert len(trace.snapshots) == len(steps) + 1
         assert steps_from_vcd(trace) == steps
         assert steps == iteration_steps(controller.v, controller.h,
@@ -128,7 +132,7 @@ def test_a_read_frame_rail_narrower_than_its_wire_is_rejected(rail, wire, tmp_pa
     # short of its wire falls short on BL too, and the BL check refuses it.
     steps = iteration_steps([1, 0], [1, 0, 1], [0, 1], [0, 1, 1])
     frame = SignalFrame.read_frame(1, 3)
-    assert getattr(frame, rail).size < parse_vcd(write_vcd(steps)).width(wire)
+    assert getattr(frame, rail).size < _widths(parse_vcd(write_vcd(steps)))[wire]
     steps[1] = TraceStep(frame, State.FEED_BACK, 0)
     path = tmp_path / "trace.vcd"
     with pytest.raises(ProtocolError, match="^step 1 gives BL 1 characters for its 2-bit wire$"):
@@ -218,6 +222,49 @@ def test_write_vcd_rejects_a_value_of_another_width_than_its_wire(damage, wire, 
     with pytest.raises(ProtocolError, match=f"{wire} .*-bit wire"):
         write_vcd(steps, path)
     assert not path.exists()
+
+
+def three_by_two_dump():
+    """The dump of a 3x2 iteration: three read clocks, two write clocks and
+    the idle tail, at #0 to #10."""
+    return write_vcd(iteration_steps([1, 0, 1], [1, 0], [0, 1, 1], [0, 1]))
+
+
+def test_every_one_character_edit_of_a_dump_is_refused_or_read_back_faithfully():
+    # A dump reads back only as write_vcd writes it: an edit that parse_vcd
+    # sees must be refused, and one it does not see changes no step.
+    text = three_by_two_dump()
+    edits = 0
+    for k, old in enumerate(text):
+        for new in "01zx#\n".replace(old, ""):
+            damaged = text[:k] + new + text[k + 1:]
+            edits += 1
+            try:
+                steps = steps_from_vcd(parse_vcd(damaged))
+            except ProtocolError:
+                continue
+            assert parse_vcd(write_vcd(steps)) == parse_vcd(damaged), (k, new)
+    assert edits == 2661
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("#2\n0!\nb01 \"\n", "#2\n0!\nb01 \"\nb10 %\n",
+     r"^unreadable VCD step at #2: .*read frame requires all wwl low"),
+    ("#2\n0!\n", "#2\n1!\n", "at #2$"),
+    ("#4\n", "#5\n", "at #5$"),
+    ("$timescale 1ns $end", "$timescale 1ps $end", "header"),
+    ("#10\n0!\nb00 \"\n1#\nb00 %\nbzzz &\nbzzz '\nb00 (\n",
+     "#10\n0!\nb00 \"\n1#\nb00 %\nbzzz &\nbzzz '\nb01 (\n", "at #10$"),
+    ("b101 &\nb000 '\n", "b101 &\nb00z '\n", "at #6$"),
+    ("bzzz &\nbzzz '\nb00 (\n$end", "b000 &\nbzzz '\nb00 (\n$end", "at #0$"),
+], ids=["read-clock-drives-wwl", "clk", "timestamp", "timescale", "tail-counter",
+        "write-clock-releases-sl", "read-clock-drives-bl-low"])
+def test_a_dump_that_write_vcd_would_not_write_is_rejected(old, new, message):
+    text = three_by_two_dump()
+    assert text.count(old) == 1
+    damaged = text.replace(old, new)
+    with pytest.raises(ProtocolError, match=message):
+        steps_from_vcd(parse_vcd(damaged))
 
 
 def test_dump_with_two_wwl_bits_set_is_rejected():
@@ -365,7 +412,8 @@ def test_steps_from_vcd_rejects_a_counter_past_its_last_column():
                  "line 4: 'b101 &'", id="value-wider-than-wire"),
     pytest.param("$var wire 2 & BL [1:0] $end\n$enddefinitions $end\n#0\n1&\n",
                  "line 4: '1&'", id="scalar-on-a-vector-wire"),
-    pytest.param("", "no variable BL", id="empty"),
+    # No snapshot holds no step, and write_vcd refuses to dump an empty trace.
+    pytest.param("", "cannot dump an empty trace", id="empty"),
 ])
 def test_malformed_vcd_raises_protocol_error(text, message):
     with pytest.raises(ProtocolError, match=message):
