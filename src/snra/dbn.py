@@ -17,8 +17,11 @@ the one-row case of the same read.
 tag and an index, so training, layer transfer, and per-sample evaluation
 draw from disjoint reproducible streams regardless of call order.  Transfer
 draws a block's rows in order from its one stream; evaluation derives a
-block's per-sample streams in one pass, each bit for bit its
-``derived_rng`` stream, so no bit depends on where the blocks start.
+block's per-sample streams at once, each bit for bit its ``derived_rng``
+stream, so no bit depends on where the blocks start.  The first row's
+SeedSequence seeds the block's one generator; the entropy of the later
+rows is mixed into their SeedSequence pools in one vectorized pass, and
+their generator states are hashed from the pools in another.
 """
 
 import struct
@@ -77,11 +80,87 @@ def _words(n):
     return words
 
 
-def _pcg64_states(sequences):
-    """The ``(state, inc)`` of ``PCG64(seq)`` for each SeedSequence, hashed
-    from the pools in one step; lazy, so an empty list hashes nothing."""
-    pools = np.array([seq.pool for seq in sequences], dtype=np.uint32).reshape(-1, 1, 4)
-    hashed = pools ^ _HASH[:8].reshape(2, 4)  # each pool word feeds two output words
+def _hashmix_constants(calls):
+    """The XOR and multiplier columns of SeedSequence's hashmix ``calls``."""
+    xor = np.array([[0x43B0D7E5 * pow(0x931E8875, call, 1 << 32) % (1 << 32)] for call in calls],
+                   dtype=np.uint32)
+    return xor, xor * np.uint32(0x931E8875)
+
+
+# SeedSequence's entropy mix (seed_seq_fe, O'Neill's PCG report).  Hashmix
+# call c XORs a word with 0x43B0D7E5 * 0x931E8875**c, multiplies it by the
+# next such constant and folds its high half into its low one; mixing a
+# hashed word y into a pool lane x gives _MIX_L * x - _MIX_R * y, folded
+# alike.  Calls 0-3 fill the pool's 4 lanes, and calls 4-15 mix each source
+# lane into the other three in lane order (the source lane's own column
+# goes unused).  Each constant is a column over the lanes, which a block
+# tiles to its width once, so every step is one ufunc over equal shapes.
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SPREAD_CALLS = [[4 + 3 * source + lane - (lane > source) for lane in range(4)]
+                 for source in range(4)]
+_MIX_COLUMNS = np.stack(
+    [np.full((4, 1), constant, dtype=np.uint32) for constant in (_MIX_L, _MIX_R, 16)]
+    + [column for calls in (range(4), *_SPREAD_CALLS) for column in _hashmix_constants(calls)])
+
+
+def _hashmix(words, xor, multiplier, shift):
+    hashed = words ^ xor
+    hashed *= multiplier
+    hashed ^= hashed >> shift
+    return hashed
+
+
+def _mix(pool, hashed, left, right, shift):
+    mixed = left * pool
+    mixed -= right * hashed
+    mixed ^= mixed >> shift
+    return mixed
+
+
+def _mix_pools(words, lengths):
+    """``np.random.SeedSequence(words[:lengths[k], k]).pool`` as column k of
+    a (4, count) array, for every column at once.  ``words`` holds at least
+    the pool's 4 rows of uint32, zero past each column's length."""
+    left, right, shift, *columns = np.repeat(_MIX_COLUMNS, words.shape[1], axis=2)
+    fill, *spread = zip(columns[::2], columns[1::2])
+    pool = _hashmix(words[:4], *fill, shift)
+    for source, constants in enumerate(spread):
+        mixed = _mix(pool, _hashmix(pool[source], *constants, shift), left, right, shift)
+        mixed[source] = pool[source]
+        pool = mixed
+    # Each word past the pool takes calls 4 * position + lane, one per lane,
+    # in the columns that hold it.
+    for position in range(4, len(words)):
+        constants = _hashmix_constants(range(4 * position, 4 * position + 4))
+        mixed = _mix(pool, _hashmix(words[position], *constants, shift), left, right, shift)
+        np.copyto(pool, mixed, where=lengths > position)
+    return pool
+
+
+def _entropy_words(prefix, first, count):
+    """The entropy of streams ``first`` to ``first + count - 1``: column k
+    holds ``prefix + _words(first + k)`` in at least 4 rows, zero past its
+    length, and ``lengths[k]`` is that length."""
+    low = first & 0xFFFFFFFF
+    # Index words above the low one are first's, or one more once the low word wraps.
+    wrap = min(count, (1 << 32) - low)
+    heads = [(prefix + _words(first >> 32 << 32), slice(0, wrap))]
+    if wrap < count:
+        heads.append((prefix + _words((first >> 32) + 1 << 32), slice(wrap, count)))
+    words = np.zeros((max(4, len(heads[-1][0])), count), dtype=np.uint32)
+    lengths = np.empty(count, dtype=np.intp)
+    for head, columns in heads:
+        words[:len(head), columns] = np.array(head, dtype=np.uint32)[:, np.newaxis]
+        lengths[columns] = len(head)
+    words[len(prefix)] = np.uint32(low) + np.arange(count, dtype=np.uint32)  # wraps at 2**32
+    return words, lengths
+
+
+def _pcg64_states(pools):
+    """The ``(state, inc)`` of the PCG64 seeded from each pool column of
+    ``_mix_pools``, the pools hashed in one step as ``generate_state`` does."""
+    # Row-major copies of the pools; each pool word feeds two output words.
+    hashed = pools.T.copy().reshape(-1, 1, 4) ^ _HASH[:8].reshape(2, 4)
     hashed *= _HASH[1:].reshape(2, 4)
     hashed ^= hashed >> 16
     for s_high, s_low, i_high, i_low in hashed.astype("<u4").reshape(-1, 8).view("<u8").tolist():
@@ -223,23 +302,26 @@ def greedy_train(model, images, labels, epochs):
 
 class _SampleStreams:
     """Row k holds the first ``width`` uniforms of ``derived_rng(seed,
-    _EVAL_TAG, first + k)``: one PCG64, built from row 0's SeedSequence, is
-    set to each later row's ``_pcg64_states`` state in turn.  ``random``
-    hands out the next ``shape[1]`` columns, layer after layer."""
+    _EVAL_TAG, first + k)``.  Row 0's SeedSequence seeds the block's one
+    PCG64; the entropy of rows 1, 2, ... is mixed into their pools in one
+    vectorized pass (``_mix_pools``), and the PCG64 is set to each later
+    row's ``_pcg64_states`` state in turn, so a one-row block mixes nothing.
+    ``random`` hands out the next ``shape[1]`` columns, layer after layer."""
 
     def __init__(self, seed, first, count, width):
         self._draws = np.empty((count, width))
         self._used = 0
         prefix = _words(seed) + _words(_EVAL_TAG)
-        sequences = [np.random.SeedSequence(np.array(prefix + _words(first + k), dtype=np.uint32))
-                     for k in range(count)]
-        bit_generator = np.random.PCG64(sequences[0])
+        bit_generator = np.random.PCG64(
+            np.random.SeedSequence(np.array(prefix + _words(first), dtype=np.uint32)))
         generator = np.random.Generator(bit_generator)
         generator.random(out=self._draws[0])
-        for row, (state, inc) in zip(self._draws[1:], _pcg64_states(sequences[1:])):
-            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-            generator.random(out=row)
+        if count > 1:
+            pools = _mix_pools(*_entropy_words(prefix, first + 1, count - 1))
+            for row, (state, inc) in zip(self._draws[1:], _pcg64_states(pools)):
+                bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state, "inc": inc}}
+                generator.random(out=row)
 
     def random(self, shape):
         start = self._used

@@ -11,7 +11,8 @@ marker.  Vector values are written MSB first, so register element 0 is
 the rightmost character; released bit and source lines are dumped as 'z'.
 Every value is exactly as wide as its wire and holds only 0s and 1s, or 'z'
 on BL and SL: ``write_vcd`` writes no other and ``parse_vcd`` reads no other.
-A clock is checked once, when its ``TraceStep`` is built: ``write_vcd``
+A clock is checked once, when its ``TraceStep`` is built, which also ties
+its STATE and COUNTER to its frame as the controller drives them: ``write_vcd``
 checks only that the steps' widths agree, and renders each rail wire with
 one ``bits_to_string`` over the whole dump.  ``steps_from_vcd`` builds every
 clock from its own dumped rails and accepts a dump only as ``write_vcd`` writes it.
@@ -36,7 +37,9 @@ _TICKS_PER_CLOCK = round(CLOCK_PERIOD_S * 1e9)
 @dataclass(frozen=True)
 class TraceStep:
     """One clock of observable controller state, checked once when built; a
-    2-bit STATE and a COUNTER in [0, n_hidden] are kept as ints."""
+    2-bit STATE and a COUNTER in [0, n_hidden] are kept as ints.  A read
+    frame is taken only at FEED_FORWARD, FEED_BACK or RECONSTRUCT with
+    COUNTER 0, a write frame only at UPDATE with COUNTER at its WWL column."""
 
     frame: SignalFrame
     state: int
@@ -50,6 +53,16 @@ class TraceStep:
             counter = integer_setting(self.counter, "COUNTER", high=self.frame.wwl.size)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
+        wwl = self.frame.wwl
+        if self.frame.rwl:
+            rule = ("a read frame is taken only at FEED_FORWARD, FEED_BACK or RECONSTRUCT "
+                    "with COUNTER 0")
+            paired = state != State.UPDATE and counter == 0
+        else:
+            rule = "a write frame is taken only at UPDATE with COUNTER at its WWL column"
+            paired = state == State.UPDATE and counter < wwl.size and wwl[counter] == 1
+        if not paired:
+            raise ProtocolError(f"{rule}, got STATE {state} and COUNTER {counter}")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "counter", counter)
 

@@ -98,6 +98,15 @@ MUTANTS = (
     Mutant("pcg64-hash-without-multiply", "src/snra/dbn.py",
            "    hashed *= _HASH[1:].reshape(2, 4)\n", "",
            ("tests/test_dbn.py::TestDerivedStreams::test_stream_rows_equal_derived_rng",)),
+    Mutant("seed-mix-without-past-pool-mask", "src/snra/dbn.py",
+           "np.copyto(pool, mixed, where=lengths > position)", "np.copyto(pool, mixed)",
+           ("tests/test_dbn.py::TestSeedMix::test_a_block_of_rows_of_different_lengths",)),
+    Mutant("seed-mix-source-lane-mixed", "src/snra/dbn.py",
+           "        mixed[source] = pool[source]\n", "",
+           ("tests/test_dbn.py::TestSeedMix::test_each_pool_is_seed_sequences",)),
+    Mutant("seed-mix-l-and-r-swapped", "src/snra/dbn.py",
+           "(_MIX_L, _MIX_R, 16)", "(_MIX_R, _MIX_L, 16)",
+           ("tests/test_dbn.py::TestSeedMix::test_each_pool_is_seed_sequences",)),
     Mutant("rail-column-in-reverse-step-order", "src/snra/trace.py",
            "for k in at[::-1]]", "for k in at]",
            ("tests/test_trace.py::TestRenderingMatchesTheStepwiseWriter::"

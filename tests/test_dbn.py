@@ -269,6 +269,62 @@ class TestDerivedStreams:
         expected = [dbn.derived_rng(seed, dbn._EVAL_TAG, first + k).random(13) for k in range(3)]
         np.testing.assert_array_equal(drawn, expected)
 
+    @pytest.mark.parametrize("seed", [5, 2**64 - 1])
+    @pytest.mark.parametrize("first", [2**32 - 20, 2**64 - 20])
+    @pytest.mark.parametrize("width", [1, 500])
+    def test_a_block_whose_index_gains_a_word_equals_derived_rng(self, seed, first, width):
+        # Row 20 is the first with one more index word: 4 to 5 and 5 to 6
+        # entropy words at the two-word seed, so some rows mix a word past
+        # the pool that their neighbours lack.
+        streams = dbn._SampleStreams(seed, first, 40, width)
+        expected = [dbn.derived_rng(seed, dbn._EVAL_TAG, first + k).random(width)
+                    for k in range(40)]
+        np.testing.assert_array_equal(streams.random((40, width)), expected)
+
+    def test_a_one_row_predict_mixes_nothing(self, monkeypatch):
+        model = dbn.DbnModel((8, 6, 5, 3), rng_seed=11, levels=16, init=dbn.UNIFORM_INIT)
+        images = np.random.default_rng(4).integers(0, 2, (20, 8), dtype=np.uint8)
+        reference = [classify_alone(model, images[k], k) for k in range(20)]
+
+        def refuse(words, lengths):
+            raise AssertionError("a block mixed its later rows")
+
+        monkeypatch.setattr(dbn, "_mix_pools", refuse)
+        assert [dbn.predict(model, images[k], k) for k in range(20)] == reference
+        with pytest.raises(AssertionError, match="^a block mixed"):
+            dbn.error_rate(model, images[:2], reference[:2])
+
+
+def seed_sequence_pools(words, lengths):
+    """The pool of ``np.random.SeedSequence`` over each column's words."""
+    return np.transpose([np.random.SeedSequence(words[:n, k]).pool
+                         for k, n in enumerate(lengths)])
+
+
+def random_entropy(rng, lengths):
+    """Entropy columns of ``lengths`` words, a tenth of them 0, in at least
+    4 rows and zero past each column's length."""
+    words = rng.integers(0, 2**32, (max(4, max(lengths)), len(lengths)), dtype=np.uint32)
+    words[rng.random(words.shape) < 0.1] = 0
+    words[np.arange(len(words))[:, np.newaxis] >= lengths] = 0
+    return words
+
+
+class TestSeedMix:
+    @pytest.mark.parametrize("n_words", range(1, 9))
+    def test_each_pool_is_seed_sequences(self, n_words):
+        lengths = np.full(64, n_words)
+        words = random_entropy(np.random.default_rng(n_words), lengths)
+        np.testing.assert_array_equal(dbn._mix_pools(words, lengths),
+                                      seed_sequence_pools(words, lengths))
+
+    def test_a_block_of_rows_of_different_lengths(self):
+        # Each column's words past its length are zero, and must not be mixed.
+        lengths = np.random.default_rng(8).permutation(np.repeat(np.arange(1, 9), 16))
+        words = random_entropy(np.random.default_rng(9), lengths)
+        np.testing.assert_array_equal(dbn._mix_pools(words, lengths),
+                                      seed_sequence_pools(words, lengths))
+
 
 def per_sample_transfer_train(model, images, labels, epochs):
     """greedy_train with each sample pushed up one layer by its own forward

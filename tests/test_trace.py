@@ -257,8 +257,14 @@ def test_every_one_character_edit_of_a_dump_is_refused_or_read_back_faithfully()
      "#10\n0!\nb00 \"\n1#\nb00 %\nbzzz &\nbzzz '\nb01 (\n", "at #10$"),
     ("b101 &\nb000 '\n", "b101 &\nb00z '\n", "at #6$"),
     ("bzzz &\nbzzz '\nb00 (\n$end", "b000 &\nbzzz '\nb00 (\n$end", "at #0$"),
+    # STATE and COUNTER as the controller never drives them with the frame.
+    ("#2\n0!\nb01 \"\n", "#2\n0!\nb11 \"\n", r"^unreadable VCD step at #2: .*a read frame"),
+    ("#6\n0!\nb11 \"\n", "#6\n0!\nb01 \"\n", r"^unreadable VCD step at #6: .*a write frame"),
+    ("b00 (\n$end", "b01 (\n$end", r"^unreadable VCD step at #0: .*a read frame"),
+    ("b110 '\nb01 (\n", "b110 '\nb00 (\n", r"^unreadable VCD step at #8: .*a write frame"),
 ], ids=["read-clock-drives-wwl", "clk", "timestamp", "timescale", "tail-counter",
-        "write-clock-releases-sl", "read-clock-drives-bl-low"])
+        "write-clock-releases-sl", "read-clock-drives-bl-low", "read-clock-at-update",
+        "write-clock-at-feed-back", "read-clock-counting-1", "write-clock-off-its-column"])
 def test_a_dump_that_write_vcd_would_not_write_is_rejected(old, new, message):
     text = three_by_two_dump()
     assert text.count(old) == 1
