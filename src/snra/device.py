@@ -4,8 +4,9 @@ The neuron fires with sigmoid probability of its net input.  Synapses hold
 a discrete state index on a uniform weight grid; programming pulses move
 the index up or down and saturate at the grid ends.
 
-The state indices, stored as float32 or float64 integers, are the only
-copy of a weight.  A neuron's net is summed straight from them, as the
+The state indices, stored as float32 or float64 integers in one array
+whose last row and column are the bias line, are the only copy of a
+weight.  A neuron's net is summed straight from them, as the
 array sums the currents of its active lines: every partial sum is an
 integer below 2**24 in float32 or 2**53 in float64, so it is exact in
 any order and no net depends on the BLAS kernel, its threads or the
@@ -105,12 +106,14 @@ class SynapseGrid:
     linearly onto [w_min, w_max].  A programming pulse moves the index by
     delta_d in the commanded direction and clips at the ends; it never
     wraps around.  With an even ``levels`` no index maps to weight 0: the
-    mid index 15 of 32 maps to -1/31.  The three state arrays hold the
-    indices as C-order float integers and are the only record of a weight,
-    so every read sees every change to them.  Their dtype, the one record
-    of the choice, is float32 when every net sum (``max(n_visible,
-    n_hidden) + 1`` cells, the bias cell too, of at most ``levels - 1``
-    each) stays below 2**24, where float32 is exact, and float64 otherwise.
+    mid index 15 of 32 maps to -1/31.  One C-order array of float integers
+    is the only record of a weight, so every read sees every change to it:
+    ``states``, ``visible_bias_states`` and ``hidden_bias_states`` are
+    read-only views of it, the bias line its last column and row, and the
+    corner cell is never read.  Its dtype, the one record of the choice, is
+    float32 when every net sum (``max(n_visible, n_hidden) + 1`` cells, the
+    bias cell too, of at most ``levels - 1`` each) stays below 2**24, where
+    float32 is exact, and float64 otherwise.
 
     ``use_biases`` says whether the bias line takes part in ``nets``; a grid
     with its line off still keeps, pulses, saves and loads its bias states.
@@ -131,11 +134,13 @@ class SynapseGrid:
         shape = (self.n_visible, self.n_hidden)
         dtype = np.float32 if (max(shape) + 1) * (self.levels - 1) < 2**24 else np.float64
         try:
-            self.states = np.full(shape, mid, dtype=dtype)
+            self._cells = np.full((self.n_visible + 1, self.n_hidden + 1), mid, dtype=dtype)
         except MemoryError:
             raise DimensionError(f"cannot allocate a synapse grid of shape {shape}") from None
-        self.visible_bias_states = np.full(self.n_visible, mid, dtype=dtype)
-        self.hidden_bias_states = np.full(self.n_hidden, mid, dtype=dtype)
+
+    states = property(lambda self: self._cells[:-1, :-1])
+    visible_bias_states = property(lambda self: self._cells[:-1, -1])
+    hidden_bias_states = property(lambda self: self._cells[-1, :-1])
 
     @classmethod
     def uniform_random(cls, n_visible, n_hidden, rng, **kwargs):
@@ -175,9 +180,8 @@ class SynapseGrid:
         ``lines`` its active bits: the bias cell is one more line, always on,
         unless ``use_biases`` is off.  The sum is exact, so row k of a block
         equals row k read alone, bit for bit."""
-        states, bias_states, side = (
-            (self.states, self.hidden_bias_states, "visible") if hidden
-            else (self.states.T, self.visible_bias_states, "hidden"))
+        cells, side = (self._cells, "visible") if hidden else (self._cells.T, "hidden")
+        states, bias_states = cells[:-1, :-1], cells[-1, :-1]
         bits = np.asarray(bits)
         if bits.ndim == 2 and bits.shape[1] == states.shape[0]:
             bits = ensure_bits(bits.reshape(-1), name=f"{side} rows").reshape(bits.shape)
@@ -205,12 +209,16 @@ class SynapseGrid:
         ``directions`` holds one direction in {-1, 0, 1} per crossing,
         shape (rows.size, cols.size).  Cells outside the block are untouched.
         """
-        rows = _line_indices(rows, self.n_visible, "rows")
-        cols = _line_indices(cols, self.n_hidden, "cols")
-        # The block's flat positions in the row-major states: a 1-D gather
+        self._pulse_lines(_line_indices(rows, self.n_visible, "rows"),
+                          _line_indices(cols, self.n_hidden, "cols"), directions)
+
+    def _pulse_lines(self, rows, cols, directions):
+        """``pulse_block`` on trusted lines, where row n_visible and column
+        n_hidden are the bias line: the controller's one CD write."""
+        # The block's flat positions in the row-major cells: a 1-D gather
         # and scatter costs about half of a 2-D np.ix_ one.
-        positions = np.add.outer(rows * self.n_hidden, cols)
-        self._pulse(self.states.reshape(-1), positions, directions)
+        positions = np.add.outer(rows * (self.n_hidden + 1), cols)
+        self._pulse(self._cells.reshape(-1), positions, directions)
 
     def pulse_visible_bias(self, directions):
         self._pulse(self.visible_bias_states, ..., directions)
@@ -244,9 +252,7 @@ class SynapseGrid:
         self.pulse_count += int(np.count_nonzero(direction))
 
     def _checked_states(self, given, shape):
-        # Row-major, so that pulse_block's flat reshape is a view, not a copy.
         arr = integer_array(given, "state indices", self.levels)
-        arr = arr.astype(self.states.dtype, order="C")
         if arr.shape != shape:
             raise DimensionError(f"state array must have shape {shape}, got {arr.shape}")
         return arr
@@ -255,13 +261,13 @@ class SynapseGrid:
         """Overwrite every state index at once, with full range validation.
 
         The one way given states enter a grid: integer arrays only.  All
-        three are checked before any is assigned, so a rejected load leaves
-        the device as it was.
+        three are checked before any is written in place, so a rejected load
+        leaves the device as it was.
         """
         loaded = (self._checked_states(states, (self.n_visible, self.n_hidden)),
                   self._checked_states(visible_bias_states, (self.n_visible,)),
                   self._checked_states(hidden_bias_states, (self.n_hidden,)))
-        self.states, self.visible_bias_states, self.hidden_bias_states = loaded
+        self.states[...], self.visible_bias_states[...], self.hidden_bias_states[...] = loaded
 
     def fingerprint(self):
         """Digest of the full device state as row-major int64, for change

@@ -9,16 +9,18 @@ that rule and ``array.rail_directions`` the decode of its rails.
 
 ``step`` is the clocked model, one clock and one signal frame per call,
 behind waveforms and traces.  Training runs ``run_cd_iteration``, which
-steps the three read clocks and fuses the n_hidden Update clocks into one
-write of the active block: the column writes touch disjoint columns and
-draw no random numbers, so together they are the CD-1 rule
-clip(states + delta_d * (v h^T - v_bar h_bar^T)).  A cell can move only
-where its row has v or v_bar set and its column has h or h_bar set; every
-other cell sees both rails low.  So the fused write drives only the rows
-and columns that are set, and leaves the device, pulse count, sample
-registers and clock count exactly as the clocked model does.  The
-controller keeps no rail registers: the frame ``step`` returns is the one
-record of the rails driven on a clock.
+runs the three read clocks as ``step`` does but builds no frame, and
+fuses the n_hidden Update clocks into one write of the active block: the
+column writes touch disjoint columns and draw no random numbers, so
+together they are the CD-1 rule clip(states + delta_d * (v h^T - v_bar h_bar^T)).
+The bias line, the grid's last row and column and each register's last
+bit, is driven to ``use_biases``: on, it is an always-on unit, so the same
+write pulses the bias cells.  A cell can move only where its row has v or
+v_bar set and its column has h or h_bar set; every other cell sees both
+rails low.  So the fused write drives only the rows and columns that are
+set, and leaves the device, pulse count, registers and clock count exactly
+as the clocked model does.  The frame ``step`` returns is the one record
+of the rails driven on a clock.
 
 Every controller is a training controller.  Evaluation and layer transfer
 read the arrays directly, a block of samples per ``RbmArray.forward`` call
@@ -70,19 +72,23 @@ def update_frame(v, h, v_bar, h_bar, column):
 
 
 class CdFsm:
-    """Clock-stepped controller over one RBM array."""
+    """Clock-stepped controller over one RBM array.  ``v``, ``v_bar``, ``h``
+    and ``h_bar`` are n-bit views of registers whose last bit is the bias line."""
+
+    v = property(lambda self: self._registers[0][:-1])
+    v_bar = property(lambda self: self._registers[1][:-1])
+    h = property(lambda self: self._registers[2][:-1])
+    h_bar = property(lambda self: self._registers[3][:-1])
 
     def __init__(self, n_visible, n_hidden):
         self.n_visible, self.n_hidden = line_counts(n_visible, n_hidden)
         self.state = State.FEED_FORWARD
         self.counter = 0
         self.clock_count = 0
-        self.v = np.zeros(self.n_visible, dtype=np.uint8)
-        self.v_bar = np.zeros(self.n_visible, dtype=np.uint8)
-        self.h = np.zeros(self.n_hidden, dtype=np.uint8)
-        self.h_bar = np.zeros(self.n_hidden, dtype=np.uint8)
-        # Every read clock drives this one frame, which no caller can change.
-        self._read_frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
+        self._registers = tuple(np.zeros(n + 1, dtype=np.uint8) for n in
+                                (self.n_visible, self.n_visible, self.n_hidden, self.n_hidden))
+        # Every read clock of step drives this one frozen frame, built at the first.
+        self._read_frame = None
 
     def _check_array(self, array):
         if array.n_visible != self.n_visible or array.n_hidden != self.n_hidden:
@@ -93,36 +99,43 @@ class CdFsm:
     def step(self, array, input_bits=None, rng=None, clamp_hidden=None):
         """Advance one clock; returns the signal frame driven on that clock."""
         self._check_array(array)
+        if self.state is not State.UPDATE:
+            self._read(array, input_bits, rng, clamp_hidden)
+            if self._read_frame is None:
+                self._read_frame = SignalFrame.read_frame(self.n_visible, self.n_hidden)
+            return self._read_frame
+        column = self.counter
+        frame = update_frame(self.v, self.h, self.v_bar, self.h_bar, column)
+        array.apply_frame(frame)
+        if column == 0:
+            self._pulse_biases(array)
+        self.counter += 1
+        if self.counter == self.n_hidden:
+            self.counter = 0
+            self.state = State.FEED_FORWARD
+        self.clock_count += 1
+        return frame
+
+    def _read(self, array, input_bits, rng, clamp_hidden):
+        """One read clock of a checked array: sample its register, move on."""
+        v, v_bar, h, h_bar = self._registers
         if self.state is State.FEED_FORWARD:
             if input_bits is None:
                 raise ProtocolError("feed-forward state requires an input vector")
-            self.v[:] = ensure_bits(input_bits, self.n_visible, "input vector")
+            v[:-1] = ensure_bits(input_bits, self.n_visible, "input vector")
             if clamp_hidden is not None:
-                self.h[:] = ensure_bits(clamp_hidden, self.n_hidden, "clamped hidden vector")
+                h[:-1] = ensure_bits(clamp_hidden, self.n_hidden, "clamped hidden vector")
             else:
-                self.h[:] = array.forward(self.v, rng)
-            frame = self._read_frame
+                h[:-1] = array.forward(v[:-1], rng)
+            v[-1] = v_bar[-1] = h[-1] = h_bar[-1] = array.grid.use_biases
             self.state = State.FEED_BACK
         elif self.state is State.FEED_BACK:
-            self.v_bar[:] = array.backward(self.h, rng)
-            frame = self._read_frame
+            v_bar[:-1] = array.backward(h[:-1], rng)
             self.state = State.RECONSTRUCT
-        elif self.state is State.RECONSTRUCT:
-            self.h_bar[:] = array.forward(self.v_bar, rng)
-            frame = self._read_frame
-            self.state = State.UPDATE
         else:
-            column = self.counter
-            frame = update_frame(self.v, self.h, self.v_bar, self.h_bar, column)
-            array.apply_frame(frame)
-            if column == 0:
-                self._pulse_biases(array)
-            self.counter += 1
-            if self.counter == self.n_hidden:
-                self.counter = 0
-                self.state = State.FEED_FORWARD
+            h_bar[:-1] = array.forward(v_bar[:-1], rng)
+            self.state = State.UPDATE
         self.clock_count += 1
-        return frame
 
     def _pulse_biases(self, array):
         # Bias pulses (rails bl = v, sl = v_bar) fire once per iteration, in
@@ -134,23 +147,23 @@ class CdFsm:
     def run_cd_iteration(self, array, input_bits, rng, clamp_hidden=None):
         """One full training iteration with the Update clocks fused; returns its clocks.
 
-        The three read clocks go through ``step``, so random draws keep
-        their order.  The n_hidden Update clocks become one write of the
-        block where rows with v or v_bar set cross columns with h or h_bar
-        set, plus the bias pulses; device state, pulse count, registers,
-        state, counter and clock count end exactly as after n_hidden + 3
-        ``step`` calls.
+        The three read clocks are ``step``'s, so random draws keep their
+        order.  The n_hidden Update clocks and the bias pulses become one
+        write of the block where rows with v or v_bar set cross columns
+        with h or h_bar set, the bias line among them when it is on; device
+        state, pulse count, registers, state, counter and clock count end
+        exactly as after n_hidden + 3 ``step`` calls.
         """
         if self.state is not State.FEED_FORWARD:
             raise ProtocolError("iteration must start from the feed-forward state")
-        self.step(array, input_bits, rng, clamp_hidden)
-        self.step(array, rng=rng)
-        self.step(array, rng=rng)
-        rows = np.flatnonzero(self.v | self.v_bar)
-        cols = np.flatnonzero(self.h | self.h_bar)
-        bl, sl = update_rails(self.v[rows], self.h[cols], self.v_bar[rows], self.h_bar[cols])
-        array.grid.pulse_block(rows, cols, rail_directions(bl, sl))
-        self._pulse_biases(array)
+        self._check_array(array)
+        for _ in range(3):
+            self._read(array, input_bits, rng, clamp_hidden)
+        v, v_bar, h, h_bar = self._registers
+        rows = np.flatnonzero(v | v_bar)
+        cols = np.flatnonzero(h | h_bar)
+        bl, sl = update_rails(v[rows], h[cols], v_bar[rows], h_bar[cols])
+        array.grid._pulse_lines(rows, cols, rail_directions(bl, sl))
         self.state = State.FEED_FORWARD
         self.clock_count += self.n_hidden
         return self.n_hidden + 3

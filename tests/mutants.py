@@ -65,6 +65,15 @@ MUTANTS = (
            "            array.grid.pulse_hidden_bias(rail_directions(self.h, self.h_bar))\n",
            "            pass\n",
            ("tests/test_fsm.py::TestBiasTraining::test_bias_pulses_on_first_update_clock",)),
+    Mutant("bias-line-low-with-biases-on", "src/snra/fsm.py",
+           "h[-1] = h_bar[-1] = array.grid.use_biases", "h[-1] = h_bar[-1] = 0",
+           ("tests/test_fsm.py::TestFusedIteration::test_equals_clocked_iterations",)),
+    Mutant("bias-line-high-with-biases-off", "src/snra/fsm.py",
+           "h[-1] = h_bar[-1] = array.grid.use_biases", "h[-1] = h_bar[-1] = 1",
+           ("tests/test_fsm.py::TestBiasTraining::test_fused_biases_move_only_when_on",)),
+    Mutant("block-write-row-stride-of-n-hidden", "src/snra/device.py",
+           "rows * (self.n_hidden + 1)", "rows * self.n_hidden",
+           ("tests/test_device.py::TestSynapseGrid::test_pulse_block_writes_only_its_block",)),
     Mutant("iteration-of-n-hidden-plus-2-clocks", "src/snra/fsm.py",
            "        self.clock_count += self.n_hidden\n        return self.n_hidden + 3\n",
            "        self.clock_count += self.n_hidden - 1\n        return self.n_hidden + 2\n",

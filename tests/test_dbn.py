@@ -55,6 +55,25 @@ class TestSerialization:
         for grid in (layer.grid for layer in copied.layers):
             assert grid.weights().tolist() == grid.weight(grid.states).tolist()
 
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)),
+                                       lambda m: dbn.from_bytes(dbn.to_bytes(m))],
+                             ids=["deepcopy", "pickle", "from_bytes"])
+    def test_a_copy_keeps_its_states_in_one_array(self, clone):
+        # The weights and bias states are views of one array, which the
+        # controller writes in one block: from the mid states with one step,
+        # every pulse moves one cell by one, in the copy and not the original.
+        model = dbn.DbnModel((16, 8))
+        before = model.fingerprint()
+        layer = clone(model).layers[0]
+        grid = layer.grid
+        start = [a.copy() for a in (grid.states, grid.visible_bias_states,
+                                    grid.hidden_bias_states)]
+        CdFsm(16, 8).run_cd_iteration(layer, np.arange(16) % 2, np.random.default_rng(1))
+        now = grid.states, grid.visible_bias_states, grid.hidden_bias_states
+        moved = [int(abs(a - b).sum()) for a, b in zip(now, start)]
+        assert min(moved) > 0 and sum(moved) == grid.pulse_count
+        assert model.fingerprint() == before
+
     def test_every_truncation_rejected(self):
         data = dbn.to_bytes(small_model())
         for end in range(len(data)):

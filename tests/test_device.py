@@ -487,8 +487,17 @@ class TestSynapseGrid:
             grid.load_states([[0, 1], [2, 3]], [0, 0], [9, 0])
         with pytest.raises(DimensionError):
             grid.load_states([[0, 1], [2, 3]], [0, 0, 0], [0, 0])
+        with pytest.raises(DimensionError):
+            grid.load_states([[0, 1], [2, 3]], [1, 1], [1, 1, 1])
         assert grid.fingerprint() == before
         assert grid.weights().tolist() == weights.tolist()
+
+    @pytest.mark.parametrize("name", ["states", "visible_bias_states", "hidden_bias_states"])
+    def test_state_arrays_cannot_be_rebound(self, name):
+        # Each is a view of the grid's one state array.
+        grid = SynapseGrid(2, 3)
+        with pytest.raises(AttributeError):
+            setattr(grid, name, getattr(grid, name).copy())
 
     def test_reads_follow_a_load(self):
         grid = SynapseGrid(2, 2, levels=3)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from snra.array import RbmArray, rail_directions
+from snra import dbn
+from snra.array import RbmArray, SignalFrame, rail_directions
 from snra.bits import bits_from_string
 from snra.device import SynapseGrid
 from snra.errors import DimensionError, ProtocolError
@@ -54,6 +55,13 @@ class TestStateMachine:
         assert fsm.state is State.FEED_FORWARD
         assert fsm.counter == 0 and fsm.clock_count == 0
         assert not fsm.v.any() and not fsm.h.any()
+
+    @pytest.mark.parametrize("name", ["v", "h", "v_bar", "h_bar"])
+    def test_registers_cannot_be_rebound(self, name):
+        # Each is the view of a register one bit wider, the bias line.
+        fsm = CdFsm(4, 2)
+        with pytest.raises(AttributeError):
+            setattr(fsm, name, np.ones(4 if name.startswith("v") else 2, dtype=np.uint8))
 
     def test_feed_forward_requires_input(self):
         fsm = CdFsm(2, 2)
@@ -268,6 +276,37 @@ class TestBiasTraining:
         fsm.step(crossbar)
         fsm.step(crossbar)
         assert (crossbar.grid.visible_bias_states == before).all()
+
+    @pytest.mark.parametrize("use_biases", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 3), (784, 16)])
+    def test_fused_biases_move_only_when_on(self, shape, use_biases):
+        # The bias line is the grid's last row and column; the corner cell,
+        # where it crosses itself, never moves.
+        n_v, n_h = shape
+        crossbar = make_array(n_v, n_h, use_biases=use_biases, seed=8)
+        grid = crossbar.grid
+        corner = grid._cells[-1, -1]
+        biases = grid.visible_bias_states.copy(), grid.hidden_bias_states.copy()
+        fsm, rng, inputs = CdFsm(n_v, n_h), np.random.default_rng(9), np.random.default_rng(10)
+        for _ in range(20):
+            fsm.run_cd_iteration(crossbar, inputs.integers(0, 2, n_v), rng)
+            assert grid._cells[-1, -1] == corner
+        now = grid.visible_bias_states, grid.hidden_bias_states
+        assert [not np.array_equal(a, b) for a, b in zip(now, biases)] == [use_biases] * 2
+
+
+def test_training_builds_no_signal_frame(monkeypatch):
+    def refuse(frame):
+        raise AssertionError("a signal frame was built")
+
+    model = dbn.DbnModel((784, 16, 10), rng_seed=4)
+    images = np.random.default_rng(5).integers(0, 2, (12, 784), dtype=np.uint8)
+    monkeypatch.setattr(SignalFrame, "__post_init__", refuse)
+    report = dbn.greedy_train(model, images, np.arange(12) % 10, 1)
+    monkeypatch.undo()
+    assert [layer.clocks for layer in report.layers] == [12 * 19, 12 * 13]
+    frame = CdFsm(784, 16).step(model.layers[0], images[0], np.random.default_rng(6))
+    assert frame == SignalFrame.read_frame(784, 16)
 
 
 class TestClockBudget:
