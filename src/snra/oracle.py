@@ -4,7 +4,8 @@ against it.
 Energies, distributions and CD deltas are dense and exact: they serve as
 ground truth for the hardware-style modules.  The Gibbs chain samples
 through the array itself, on integer register codes, and reads each side's
-conditional table in one block; ``_code_bits`` is the one code decoder.
+conditional table in one block; ``_code_bits`` is the one code decoder.  Its
+draws are read in row-major order straight from each block's float64 buffer.
 """
 
 import numpy as np
@@ -23,9 +24,9 @@ def check_exact_nodes(n_visible, n_hidden):
             f"visible + hidden must not exceed {MAX_EXACT_NODES} for exact enumeration")
 
 
-# Gibbs sweeps per block of uniforms are chosen so that the block's Python
-# copy stays near this many bytes: 32 bytes a float, about 180 bytes a
-# sweep for its two row lists and its joint state.
+# Gibbs sweeps per block of uniforms are chosen so that a block stays near
+# this many bytes: 8 a draw in its float64 buffer, and about 40 a sweep for
+# the joint state's pointer in a list and, above 256, its int object.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -133,7 +134,9 @@ def gibbs_joint_counts(array, sweeps, rng):
       are exact sums, so row c equals the 1-D read of code c's bits;
     * the uniforms come in blocks of ``rng.random((k, n_hidden + n_visible))``,
       which a Generator fills in row-major order, so row t holds sweep t's
-      n_hidden draws for h, then its n_visible draws for v;
+      n_hidden draws for h, then its n_visible draws for v; the chain reads
+      them in that order straight from the block's float64 buffer, each
+      side's ``zip`` taking its row and units before a draw, so none past them;
     * a unit fires iff its uniform is below its probability, the rule of
       ``PBit.sample_net``.
 
@@ -149,22 +152,24 @@ def gibbs_joint_counts(array, sweeps, rng):
     visible_rows = array.probabilities_backward(_code_bits(n_h)).tolist()
     h_units = [1 << k for k in range(n_h)]
     v_units = [1 << k for k in range(n_v)]
-    block = max(1, _BLOCK_BYTES // (32 * (n_v + n_h) + 180))
+    block = max(1, _BLOCK_BYTES // (8 * (n_v + n_h) + 40))
     v = 0
     for start in range(0, sweeps, block):
         uniforms = rng.random((min(block, sweeps - start), n_h + n_v))
+        draws = iter(memoryview(uniforms.ravel()))
         joint = []
-        for u_h, u_v in zip(uniforms[:, :n_h].tolist(), uniforms[:, n_h:].tolist()):
+        for _ in range(len(uniforms)):
             h = 0
-            for u, p, bit in zip(u_h, hidden_rows[v], h_units):
+            for p, bit, u in zip(hidden_rows[v], h_units, draws):
                 if u < p:
                     h |= bit
             joint.append(v | h << n_v)
             v = 0
-            for u, p, bit in zip(u_v, visible_rows[h], v_units):
+            for p, bit, u in zip(visible_rows[h], v_units, draws):
                 if u < p:
                     v |= bit
         np.add.at(counts, joint, 1)
+        del uniforms, draws  # freed before the next block is drawn
     return counts
 
 

@@ -131,6 +131,18 @@ MUTANTS = (
     Mutant("input-scale-any-float-text", "src/snra/cli.py",
            "    if not _DECIMAL.fullmatch(text):\n", "    if False:\n",
            ("tests/test_cli.py::test_integer_text_outside_ascii_digits_exits_1",)),
+    Mutant("gibbs-hidden-draw-before-row", "src/snra/oracle.py",
+           "for p, bit, u in zip(hidden_rows[v], h_units, draws):",
+           "for u, p, bit in zip(draws, hidden_rows[v], h_units):",
+           ("tests/test_oracle.py::TestGibbsChain::test_equals_reference_chain_across_blocks",)),
+    Mutant("gibbs-visible-draw-before-row", "src/snra/oracle.py",
+           "for p, bit, u in zip(visible_rows[h], v_units, draws):",
+           "for u, p, bit in zip(draws, visible_rows[h], v_units):",
+           ("tests/test_oracle.py::TestGibbsChain::test_equals_reference_chain_across_blocks",)),
+    Mutant("gibbs-block-kept-while-next-drawn", "src/snra/oracle.py",
+           "        del uniforms, draws", "        pass",
+           ("tests/test_oracle.py::TestGibbsChain::"
+            "test_memory_is_bounded_by_the_block_not_the_sweeps",)),
 )
 
 

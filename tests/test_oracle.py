@@ -1,11 +1,14 @@
 import hashlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snra import oracle
 from snra.array import RbmArray
 from snra.device import PBit, SynapseGrid
 from snra.errors import DimensionError
@@ -298,7 +301,10 @@ class TestGibbsChain:
                               reference_chain(crossbar, sweeps, ref))
         assert rng.random() == ref.random()
 
-    def test_equals_reference_chain_across_blocks(self):
+    def test_equals_reference_chain_across_blocks(self, monkeypatch):
+        # A quarter of the default block bytes splits 10 000 sweeps of 4x3
+        # into full blocks and a partial last one.
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", 1 << 18)
         grid = SynapseGrid.uniform_random(4, 3, np.random.default_rng(6))
         crossbar = RbmArray(grid)
         rng, ref = RecordingRng(7), np.random.default_rng(7)
@@ -307,9 +313,28 @@ class TestGibbsChain:
         assert rng.random() == ref.random()
         # Several blocks of uniforms, each one row per sweep.
         blocks = rng.shapes[:-1]
-        assert len(blocks) > 1
+        assert len(blocks) >= 3
+        assert blocks[-1][0] < blocks[0][0]
         assert all(cols == 7 for _, cols in blocks)
         assert sum(rows for rows, _ in blocks) == 10000
+
+    def test_memory_is_bounded_by_the_block_not_the_sweeps(self):
+        # 100 000 sweeps of 4x3 draw 5.6 MB of uniforms in all; the chain
+        # holds one block of them, its joint codes and the two tables.
+        crossbar = RbmArray(SynapseGrid.uniform_random(4, 3, np.random.default_rng(10)))
+        rng = np.random.default_rng(11)
+        # Read before tracing starts, which also loads the neuron's sigmoid.
+        tables = (crossbar.probabilities_forward(_code_bits(4)).tolist(),
+                  crossbar.probabilities_backward(_code_bits(3)).tolist())
+        table_bytes = sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+                          for table in tables for row in table)
+        tracemalloc.start()
+        try:
+            gibbs_joint_counts(crossbar, 100_000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._BLOCK_BYTES + table_bytes
 
     def test_consecutive_calls_share_the_rng(self):
         grid = SynapseGrid.uniform_random(4, 3, np.random.default_rng(8))
